@@ -628,6 +628,32 @@ let micro () =
   let shard_rpc_one () =
     ignore (Harness.Shard_rpc.run ~shards:1 BW.chrysalis)
   in
+  (* The race detector over population-shaped traffic: 1K single-sender
+     queues, 16 sends each, interleaved.  Every send extends its queue's
+     causal chain, so R-MSG's fold should cost O(1) per send, not
+     O(earlier sends on the queue). *)
+  let chained_sends =
+    let clocks = Array.make 1_000 Sim.Vclock.empty in
+    Array.init (16 * 1_000) (fun k ->
+        let f = k mod 1_000 in
+        clocks.(f) <- Sim.Vclock.tick clocks.(f) f;
+        {
+          Sim.Event.ev_time = Sim.Time.us k;
+          ev_fiber = f;
+          ev_clock = clocks.(f);
+          ev_kind =
+            Sim.Event.Send
+              {
+                obj = Printf.sprintf "n%d->n%d" f ((f + 1) mod 1_000);
+                op = "msg";
+                unordered = false;
+              };
+        })
+  in
+  let races_feed () =
+    let st = Analysis.Races.init () in
+    Array.iter (Analysis.Races.feed st) chained_sends
+  in
   let tests =
     [
       Test.make ~name:"engine: 100 timer events" (Staged.stage engine_events);
@@ -639,6 +665,7 @@ let micro () =
       Test.make ~name:"chrysalis RPC, screening armed"
         (Staged.stage chrysalis_rpc_screened);
       Test.make ~name:"shard RPC sim, 1 shard" (Staged.stage shard_rpc_one);
+      Test.make ~name:"races: feed, chained sends" (Staged.stage races_feed);
     ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in

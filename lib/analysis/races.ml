@@ -26,6 +26,15 @@ let pp_finding ppf f = Fmt.pf ppf "%s %s: %s" f.r_rule f.r_obj f.r_detail
      This mirrors the static side exactly: S-MSG predicts over the
      protocol's Call items (request sends), so a reply-queue pair could
      never sit inside the prediction set the soundness gate checks.
+     The fold itself is O(1) on a causal chain: the object keeps the
+     join of every ordered send's clock, and a new send whose clock
+     dominates that join is ordered after every earlier send (each one
+     is below the join, and [leq] is transitive), so it has no
+     concurrent predecessor and the pairwise loop is skipped.  On a
+     chain — one sender, or senders that each saw the previous send —
+     the join is just the last send's clock.  Only a send that does not
+     dominate the join runs the exact loop.  The rule holds for any
+     stream, whatever its fiber ids or clock shapes.
    - Queued signals, waits and seens are FIFO-matched by position
      against final consumption counts, which lets consumed prefixes be
      pruned the moment the matching seen/wake arrives: a signal whose
@@ -33,7 +42,9 @@ let pp_finding ppf f = Fmt.pf ppf "%s %s: %s" f.r_rule f.r_obj f.r_detail
      surviving suffix the rules inspect, and symmetrically for waits
      against wake handoffs.  A seen is retained only while an unserved
      signal precedes it — otherwise no surviving signal can ever pair
-     with it under the [npos > spos] clause.
+     with it under the [npos > spos] clause.  The three queues are
+     created on first use: most objects (every shard pair queue) only
+     ever see sends and receives.
    - Receives, wakes and seens otherwise contribute only running
      counters.  The high-volume kinds (Block/Note/Spawn/...) are never
      retained at all. *)
@@ -46,25 +57,30 @@ type obj_state = {
   mutable os_pairs : int;
   mutable os_first : (int * int * string * int * string) option;
       (* earlier send index, its fiber and op, later fiber and op *)
-  (* R-SIG live suffixes. *)
-  os_sigs : (int * int * int * Vclock.t) Queue.t;
+  mutable os_join : Vclock.t;  (* join of every ordered send's clock *)
+  (* R-SIG live suffixes, created on first push. *)
+  mutable os_sigs : (int * int * int * Vclock.t) Queue.t option;
       (* signal index, stream position, fiber, clock *)
   mutable os_n_sigs : int;
   mutable os_n_seens : int;
-  os_seens : (int * Vclock.t) Queue.t;  (* stream position, clock *)
-  os_waits : (int * int * Vclock.t) Queue.t;  (* wait index, fiber, clock *)
+  mutable os_seens : (int * Vclock.t) Queue.t option;
+      (* stream position, clock *)
+  mutable os_waits : (int * int * Vclock.t) Queue.t option;
+      (* wait index, fiber, clock *)
   mutable os_n_waits : int;
   mutable os_n_wakes : int;  (* woke=true signals *)
   (* R-MOVE. *)
   mutable os_moves : (int * Vclock.t) list;  (* fiber, clock — newest first *)
 }
 
+module Tbl = Hashtbl.Make (String)
+
 type state = {
   mutable st_pos : int;  (* stream position of the next event *)
-  st_tbl : (string, obj_state) Hashtbl.t;
+  st_tbl : obj_state Tbl.t;
 }
 
-let init () = { st_pos = 0; st_tbl = Hashtbl.create 64 }
+let init () = { st_pos = 0; st_tbl = Tbl.create 64 }
 
 let fresh () =
   {
@@ -73,23 +89,46 @@ let fresh () =
     os_n_recvs = 0;
     os_pairs = 0;
     os_first = None;
-    os_sigs = Queue.create ();
+    os_join = Vclock.empty;
+    os_sigs = None;
     os_n_sigs = 0;
     os_n_seens = 0;
-    os_seens = Queue.create ();
-    os_waits = Queue.create ();
+    os_seens = None;
+    os_waits = None;
     os_n_waits = 0;
     os_n_wakes = 0;
     os_moves = [];
   }
 
 let slot st obj =
-  match Hashtbl.find_opt st.st_tbl obj with
+  match Tbl.find_opt st.st_tbl obj with
   | Some s -> s
   | None ->
     let s = fresh () in
-    Hashtbl.add st.st_tbl obj s;
+    Tbl.add st.st_tbl obj s;
     s
+
+(* Appends to a lazily created queue, returning the queue to store. *)
+let push qo x =
+  match qo with
+  | Some q ->
+    Queue.add x q;
+    qo
+  | None ->
+    let q = Queue.create () in
+    Queue.add x q;
+    Some q
+
+(* Pops entries off the front of [q] while their index is below [n]. *)
+let prune q index n =
+  match q with
+  | None -> ()
+  | Some q ->
+    while (not (Queue.is_empty q)) && index (Queue.peek q) < n do
+      ignore (Queue.pop q)
+    done
+
+let is_empty = function None -> true | Some q -> Queue.is_empty q
 
 let feed st (ev : Event.t) =
   let pos = st.st_pos in
@@ -104,24 +143,29 @@ let feed st (ev : Event.t) =
        the pair with the lowest earlier-send index — replaying the old
        ascending (i, j) double loop, whose first hit is exactly the
        minimal (i, j) in lexicographic order.  Unordered sends take no
-       part, as either side of a pair. *)
-    let min_i = ref (-1) and min_f = ref 0 and min_op = ref "" in
+       part, as either side of a pair.  A send that dominates the join
+       of its predecessors has no concurrent one: skip the loop. *)
     if not unordered then
-      List.iter
-        (fun (i, fi, opi, ci, unordered_i) ->
-          if (not unordered_i) && Vclock.concurrent ci clk then begin
-            s.os_pairs <- s.os_pairs + 1;
-            if !min_i < 0 || i < !min_i then begin
-              min_i := i;
-              min_f := fi;
-              min_op := opi
-            end
-          end)
-        s.os_sends;
-    (if !min_i >= 0 then
-       match s.os_first with
-       | Some (i0, _, _, _, _) when i0 <= !min_i -> ()
-       | _ -> s.os_first <- Some (!min_i, !min_f, !min_op, fid, op));
+      if Vclock.leq s.os_join clk then s.os_join <- clk
+      else begin
+        let min_i = ref (-1) and min_f = ref 0 and min_op = ref "" in
+        List.iter
+          (fun (i, fi, opi, ci, unordered_i) ->
+            if (not unordered_i) && Vclock.concurrent ci clk then begin
+              s.os_pairs <- s.os_pairs + 1;
+              if !min_i < 0 || i < !min_i then begin
+                min_i := i;
+                min_f := fi;
+                min_op := opi
+              end
+            end)
+          s.os_sends;
+        (if !min_i >= 0 then
+           match s.os_first with
+           | Some (i0, _, _, _, _) when i0 <= !min_i -> ()
+           | _ -> s.os_first <- Some (!min_i, !min_f, !min_op, fid, op));
+        s.os_join <- Vclock.merge s.os_join clk
+      end;
     s.os_sends <- (idx, fid, op, clk, unordered) :: s.os_sends
   | Event.Receive { obj; _ } ->
     let s = slot st obj in
@@ -132,38 +176,24 @@ let feed st (ev : Event.t) =
     s.os_n_sigs <- idx + 1;
     (* Positionally consumed already?  Then it can never be part of the
        surviving suffix the rules look at. *)
-    if idx >= s.os_n_seens then Queue.add (idx, pos, fid, clk) s.os_sigs
+    if idx >= s.os_n_seens then s.os_sigs <- push s.os_sigs (idx, pos, fid, clk)
   | Event.Signal { obj; woke = true } ->
     let s = slot st obj in
     s.os_n_wakes <- s.os_n_wakes + 1;
-    while
-      (not (Queue.is_empty s.os_waits))
-      &&
-      let i, _, _ = Queue.peek s.os_waits in
-      i < s.os_n_wakes
-    do
-      ignore (Queue.pop s.os_waits)
-    done
+    prune s.os_waits (fun (i, _, _) -> i) s.os_n_wakes
   | Event.Signal_seen { obj } ->
     let s = slot st obj in
     s.os_n_seens <- s.os_n_seens + 1;
-    while
-      (not (Queue.is_empty s.os_sigs))
-      &&
-      let i, _, _, _ = Queue.peek s.os_sigs in
-      i < s.os_n_seens
-    do
-      ignore (Queue.pop s.os_sigs)
-    done;
+    prune s.os_sigs (fun (i, _, _, _) -> i) s.os_n_seens;
     (* Retain the seen only while an unserved signal precedes it: any
        signal arriving later has a larger stream position, so the
        latched-interrupt clause [npos > spos] could never match it. *)
-    if not (Queue.is_empty s.os_sigs) then Queue.add (pos, clk) s.os_seens
+    if not (is_empty s.os_sigs) then s.os_seens <- push s.os_seens (pos, clk)
   | Event.Wait { obj } ->
     let s = slot st obj in
     let idx = s.os_n_waits in
     s.os_n_waits <- idx + 1;
-    if idx >= s.os_n_wakes then Queue.add (idx, fid, clk) s.os_waits
+    if idx >= s.os_n_wakes then s.os_waits <- push s.os_waits (idx, fid, clk)
   | Event.Link_move { obj } ->
     let s = slot st obj in
     s.os_moves <- (fid, clk) :: s.os_moves
@@ -174,7 +204,7 @@ let feed st (ev : Event.t) =
 (* Sorted object-name array: rule output order, and the substrate for
    the R-MOVE prefix range search. *)
 let sorted_objs tbl =
-  let objs = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+  let objs = Array.of_seq (Tbl.to_seq_keys tbl) in
   Array.sort compare objs;
   objs
 
@@ -193,14 +223,16 @@ let lower_bound (objs : string array) key =
   done;
   !lo
 
-let queue_to_list q = List.rev (Queue.fold (fun acc x -> x :: acc) [] q)
+let queue_to_list = function
+  | None -> []
+  | Some q -> List.rev (Queue.fold (fun acc x -> x :: acc) [] q)
 
 (* R-MSG: concurrent sends into the same queue — already folded, just
    read the conclusion. *)
 let message_races tbl objs =
   List.filter_map
     (fun obj ->
-      let s = Hashtbl.find tbl obj in
+      let s = Tbl.find tbl obj in
       match s.os_first with
       | None -> None
       | Some (_, fi, opi, fj, opj) ->
@@ -238,7 +270,7 @@ let message_races tbl objs =
 let signal_races tbl objs =
   List.filter_map
     (fun obj ->
-      let s = Hashtbl.find tbl obj in
+      let s = Tbl.find tbl obj in
       let sigs = queue_to_list s.os_sigs in
       let blocked_miss =
         let waits = queue_to_list s.os_waits in
@@ -299,7 +331,7 @@ let signal_races tbl objs =
 let move_races tbl objs =
   List.filter_map
     (fun mobj ->
-      let ms = Hashtbl.find tbl mobj in
+      let ms = Tbl.find tbl mobj in
       match ms.os_moves with
       | [] -> None
       | rev_moves -> (
@@ -311,7 +343,7 @@ let move_races tbl objs =
           if i >= n || not (starts_with ~prefix objs.(i)) then None
           else
             let qobj = objs.(i) in
-            let qs = Hashtbl.find tbl qobj in
+            let qs = Tbl.find tbl qobj in
             let rec scan_sends = function
               | [] -> None
               | (si, sfid, op, sclk, _retx) :: rest ->

@@ -1,4 +1,4 @@
-type fiber_state = Runnable | Blocked of string | Finished | Crashed
+type fiber_state = Runnable | Blocked of string | Finished | Crashed of exn
 
 type fiber = {
   fid : int;
@@ -25,10 +25,11 @@ type t = {
   mutable next_fid : int;
   tasks : Taskq.t;
   mutable fibers : fiber list;
-  (* Fiber ids ever assigned, for the explicit-[?fid] duplicate check:
-     population runs spawn hundreds of thousands of pinned-id fibers,
-     and a list scan per spawn would make setup quadratic. *)
-  fids : (int, unit) Hashtbl.t;
+  (* Every fiber by id, for the explicit-[?fid] duplicate check and
+     {!find_fiber}: population runs spawn hundreds of thousands of
+     pinned-id fibers, and a list scan per spawn would make setup
+     quadratic. *)
+  fids : (int, fiber) Hashtbl.t;
   mutable current : fiber option;
   mutable stopped : bool;
   mutable crashes : (string * exn) list;
@@ -291,16 +292,19 @@ let events_total t = t.events_total
 let events_dropped t = t.events_total - t.ev_len
 let events_hash t = Int64.of_int t.events_hash
 
+let merge_clock t c =
+  match t.current with
+  | Some f -> f.clock <- Vclock.merge f.clock c
+  | None -> t.amb_clock <- Vclock.merge t.amb_clock c
+
 let stamp t key = Hashtbl.replace t.stamps key (current_clock t)
 
 let adopt t key =
   match Hashtbl.find_opt t.stamps key with
   | None -> ()
-  | Some c -> (
+  | Some c ->
     Hashtbl.remove t.stamps key;
-    match t.current with
-    | Some f -> f.clock <- Vclock.merge f.clock c
-    | None -> t.amb_clock <- Vclock.merge t.amb_clock c)
+    merge_clock t c
 
 (* Under [Fifo] same-time tasks run in schedule order.  [Random_order]
    replaces the tie-breaking sequence number with a seeded random draw, so
@@ -345,15 +349,24 @@ let inject t ~time ~clk task =
 
 let next_task_time t = Option.map Time.ns (Taskq.peek_time t.tasks)
 
+let find_fiber t fid = Hashtbl.find_opt t.fids fid
 let fiber_name f = f.name
 let fiber_id f = f.fid
-let fiber_alive f = match f.state with Finished | Crashed -> false | _ -> true
+let fiber_alive f =
+  match f.state with Finished | Crashed _ -> false | _ -> true
+
+let fiber_blocked f =
+  match (f.daemon, f.state) with
+  | false, Blocked reason -> Some (Printf.sprintf "%s (%s)" f.name reason)
+  | _ -> None
+
+let fiber_crash f = match f.state with Crashed e -> Some e | _ -> None
 
 let current_fiber_name t =
   match t.current with None -> "<scheduler>" | Some f -> f.name
 
 let handle_crash t fiber exn =
-  fiber.state <- Crashed;
+  fiber.state <- Crashed exn;
   t.crashes <- (fiber.name, exn) :: t.crashes;
   emit t
     (Event.Crash
@@ -416,13 +429,13 @@ let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
       t.next_fid <- fid + 1;
       fid
   in
-  Hashtbl.replace t.fids fid ();
   emit t (Event.Spawn { fid; name });
   (* The child starts causally after the spawn event in its parent. *)
   let fiber =
     { fid; name; daemon; state = Runnable;
       clock = Vclock.tick (current_clock t) fid }
   in
+  Hashtbl.replace t.fids fid fiber;
   t.fibers <- fiber :: t.fibers;
   enqueue t t.now (fun () ->
       let prev = t.current in
@@ -430,7 +443,10 @@ let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
       let handler =
         {
           Effect.Deep.retc =
-            (fun () -> if fiber.state <> Crashed then fiber.state <- Finished);
+            (fun () ->
+              match fiber.state with
+              | Crashed _ -> ()
+              | _ -> fiber.state <- Finished);
           exnc = (fun exn -> handle_crash t fiber exn);
           effc = (fun eff -> effc t fiber eff);
         }
@@ -453,13 +469,7 @@ let yield t =
   suspend t ~reason:"yield" (fun waker ->
       enqueue t t.now (fun () -> waker (Ok ())))
 
-let blocked_fibers t =
-  List.filter_map
-    (fun f ->
-      match (f.daemon, f.state) with
-      | false, Blocked reason -> Some (Printf.sprintf "%s (%s)" f.name reason)
-      | _ -> None)
-    t.fibers
+let blocked_fibers t = List.filter_map fiber_blocked t.fibers
 
 let crashed t = List.rev t.crashes
 
@@ -468,7 +478,7 @@ let fiber_state_name f =
   | Runnable -> "runnable"
   | Blocked reason -> "blocked:" ^ reason
   | Finished -> "finished"
-  | Crashed -> "crashed"
+  | Crashed _ -> "crashed"
 
 type fiber_info = {
   fi_id : int;

@@ -169,15 +169,20 @@ val events_hash : t -> int64
     determinism comparator that works even with [legacy_trace] off.
     Maintained in O(1) per event with no rendering. *)
 
+val merge_clock : t -> Vclock.t -> unit
+(** [merge_clock t c] merges a captured clock into the current fiber's
+    clock (or the ambient clock in scheduler context): the receiving
+    side of a happens-before edge whose sending side captured [c] with
+    {!clock}. *)
+
 val stamp : t -> string -> unit
 (** [stamp t key] saves the current clock under [key] — called where a
     message is deposited into a passive queue that is later drained
     without a waker hand-off. *)
 
 val adopt : t -> string -> unit
-(** [adopt t key] merges the clock saved under [key] into the current
-    fiber (or ambient) clock and forgets it.  No-op when [key] was never
-    stamped. *)
+(** [adopt t key] does {!merge_clock} with the clock saved under [key]
+    and forgets it.  No-op when [key] was never stamped. *)
 
 (** {1 Scheduling} *)
 
@@ -210,6 +215,9 @@ val spawn : t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> f
     fiber ids globally — fiber [n] is node [n] at every shard count — so
     the per-engine counter cannot be the allocator. *)
 
+val find_fiber : t -> int -> fiber option
+(** The fiber spawned with this id, if any: O(1). *)
+
 val fiber_name : fiber -> string
 
 val fiber_id : fiber -> int
@@ -217,6 +225,13 @@ val fiber_id : fiber -> int
     same program with the same seed assign identical ids. *)
 
 val fiber_alive : fiber -> bool
+
+val fiber_blocked : fiber -> string option
+(** [Some "name (reason)"] while a non-daemon fiber is suspended: its
+    entry in {!blocked_fibers}. *)
+
+val fiber_crash : fiber -> exn option
+(** The exception a crashed fiber died with. *)
 
 (** {1 Running} *)
 

@@ -28,13 +28,11 @@ type 'msg node = {
   n_name : string;
   n_shard : int;
   n_rng : Rng.t;
-  (* Inbox entries carry the stamp key holding the sender's clock while
-     the message rests in the queue (the kernels' passive-queue idiom);
-     [None] never occurs today but keeps the adopt site honest. *)
-  n_inbox : (string option * string * string * 'msg) Queue.t;
-  mutable n_waker : ((string * string * 'msg, exn) result -> unit) option;
+  (* A parked message keeps its [pd_clk], the sender's clock, which the
+     receiving fiber merges when it takes the message out. *)
+  n_inbox : 'msg pending Queue.t;
+  mutable n_waker : (('msg pending, exn) result -> unit) option;
   mutable n_send_seq : int;
-  mutable n_arrivals : int;
 }
 
 (* Per-shard window buffer of emitted events, appended by the shard's
@@ -160,7 +158,6 @@ let add_node t ?(daemon = false) ?name body =
       n_inbox = Queue.create ();
       n_waker = None;
       n_send_seq = 0;
-      n_arrivals = 0;
     }
   in
   t.nodes <- node :: t.nodes;
@@ -182,6 +179,26 @@ let sleep ctx d = Engine.sleep ctx.c_eng d
 let incr ctx name by =
   Stats.incr ~by ctx.c_t.stats.(ctx.c_node.n_shard) name
 
+let rec digits n = if n < 10 then 1 else 1 + digits (n / 10)
+
+(* Writes the [len] decimal digits of [n] ending just before [stop]. *)
+let rec put_digits b stop len n =
+  if len > 0 then begin
+    Bytes.unsafe_set b (stop - 1) (Char.unsafe_chr (48 + (n mod 10)));
+    put_digits b (stop - 1) (len - 1) (n / 10)
+  end
+
+(* The queue object ["n<src>->n<dst>"], built in one exact-size
+   allocation: this runs on every send. *)
+let pair_name src dst =
+  let ls = digits src and ld = digits dst in
+  let b = Bytes.create (ls + ld + 4) in
+  Bytes.unsafe_set b 0 'n';
+  put_digits b (1 + ls) ls src;
+  Bytes.unsafe_blit_string "->n" 0 b (1 + ls) 3;
+  put_digits b (4 + ls + ld) ld dst;
+  Bytes.unsafe_to_string b
+
 let send ctx ~dst ?latency ?(op = "msg") msg =
   let t = ctx.c_t in
   let lat = match latency with Some l -> l | None -> t.look in
@@ -189,7 +206,7 @@ let send ctx ~dst ?latency ?(op = "msg") msg =
     invalid_arg "Shard.send: latency below the lookahead";
   if dst < 0 || dst >= t.n_count then invalid_arg "Shard.send: unknown node";
   let src = ctx.c_node in
-  let obj = Printf.sprintf "n%d->n%d" src.n_id dst in
+  let obj = pair_name src.n_id dst in
   Engine.emit ctx.c_eng (Event.Send { obj; op; unordered = false });
   (* The clock is captured after the Send tick, so the Receive on the
      other shard inherits an edge that covers the send itself. *)
@@ -214,22 +231,21 @@ let send ctx ~dst ?latency ?(op = "msg") msg =
 
 let recv ctx =
   let node = ctx.c_node in
-  let key_opt, obj, op, msg =
-    if not (Queue.is_empty node.n_inbox) then Queue.pop node.n_inbox
-    else begin
-      (* The waker path needs no stamp: [Engine.inject] restores the
-         sender's clock as ambient, the waker enqueue captures it, and
-         the resume merges it into the fiber. *)
-      let obj, op, msg =
-        Engine.suspend ctx.c_eng ~reason:"recv" (fun waker ->
-            node.n_waker <- Some waker)
-      in
-      (None, obj, op, msg)
+  let pd =
+    if not (Queue.is_empty node.n_inbox) then begin
+      let pd = Queue.pop node.n_inbox in
+      Engine.merge_clock ctx.c_eng pd.pd_clk;
+      pd
     end
+    else
+      (* The waker path needs no merge here: [Engine.inject] restores
+         the sender's clock as ambient, the waker enqueue captures it,
+         and the resume merges it into the fiber. *)
+      Engine.suspend ctx.c_eng ~reason:"recv" (fun waker ->
+          node.n_waker <- Some waker)
   in
-  (match key_opt with Some key -> Engine.adopt ctx.c_eng key | None -> ());
-  Engine.emit ctx.c_eng (Event.Receive { obj; op });
-  msg
+  Engine.emit ctx.c_eng (Event.Receive { obj = pd.pd_obj; op = pd.pd_op });
+  pd.pd_msg
 
 (* ---- coordinator: exchange, merge, windows ---------------------------- *)
 
@@ -299,22 +315,11 @@ let inject_upto t limit =
             let eng = t.engines.(node.n_shard) in
             Engine.inject eng ~time:(Time.ns time_ns) ~clk:pd.pd_clk
               (fun () ->
-                node.n_arrivals <- node.n_arrivals + 1;
                 match node.n_waker with
                 | Some w ->
                     node.n_waker <- None;
-                    w (Ok (pd.pd_obj, pd.pd_op, pd.pd_msg))
-                | None ->
-                    (* Parked in the inbox: stamp the sender's clock so
-                       a later recv adopts the happens-before edge, the
-                       kernels' passive-queue idiom. *)
-                    let key =
-                      Printf.sprintf "shard.in.%d.%d" node.n_id
-                        node.n_arrivals
-                    in
-                    Engine.stamp eng key;
-                    Queue.add (Some key, pd.pd_obj, pd.pd_op, pd.pd_msg)
-                      node.n_inbox))
+                    w (Ok pd)
+                | None -> Queue.add pd node.n_inbox))
     | _ -> continue := false
   done
 
@@ -393,16 +398,15 @@ let drain_windows t pool =
         exchange t
   done
 
+(* A node's fiber: node [n] is fiber [n] of its shard's engine. *)
+let node_fiber t node =
+  Option.get (Engine.find_fiber t.engines.(node.n_shard) node.n_id)
+
 (* Blocked entries in node-id order, in the engine's own "name (reason)"
    rendering, so a sharded Deadlock message reads like a 1-shard one. *)
 let blocked_nodes t =
-  let per_engine = Array.map Engine.blocked_fibers t.engines in
   Array.to_list t.node_arr
-  |> List.filter_map (fun node ->
-         let prefix = node.n_name ^ " (" in
-         List.find_opt
-           (fun entry -> String.starts_with ~prefix entry)
-           per_engine.(node.n_shard))
+  |> List.filter_map (fun node -> Engine.fiber_blocked (node_fiber t node))
 
 let run ?(expect_quiescent = false) t =
   if t.ran then invalid_arg "Shard.run: the simulation already ran";
@@ -427,12 +431,8 @@ let run ?(expect_quiescent = false) t =
      crash — the same one a sequential run surfaces first. *)
   Array.iter
     (fun node ->
-      match
-        List.find_opt
-          (fun (nm, _) -> String.equal nm node.n_name)
-          (Engine.crashed t.engines.(node.n_shard))
-      with
-      | Some (nm, e) -> raise (Engine.Fiber_crash (nm, e))
+      match Engine.fiber_crash (node_fiber t node) with
+      | Some e -> raise (Engine.Fiber_crash (node.n_name, e))
       | None -> ())
     t.node_arr;
   if expect_quiescent then

@@ -14,6 +14,10 @@ type entry = {
 
 type t = { mutable arr : entry array; mutable len : int }
 
+(* Fills vacated slots, so a popped entry — a task closure plus its
+   clock — is not kept reachable from the slot past [len]. *)
+let vacant = { time = 0; seq = 0; clk = Vclock.empty; fn = ignore }
+
 let create () = { arr = [||]; len = 0 }
 let length q = q.len
 
@@ -21,15 +25,13 @@ let lt a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
 let grow q =
   let cap = Array.length q.arr in
-  let narr = Array.make (cap * 2) q.arr.(0) in
+  let narr = Array.make (if cap = 0 then 16 else cap * 2) vacant in
   Array.blit q.arr 0 narr 0 q.len;
   q.arr <- narr
 
 let add q ~time ~seq ~clk fn =
-  let e = { time; seq; clk; fn } in
-  if q.len = Array.length q.arr then
-    if q.len = 0 then q.arr <- Array.make 16 e else grow q;
-  q.arr.(q.len) <- e;
+  if q.len = Array.length q.arr then grow q;
+  q.arr.(q.len) <- { time; seq; clk; fn };
   q.len <- q.len + 1;
   let i = ref (q.len - 1) in
   while !i > 0 && lt q.arr.(!i) q.arr.((!i - 1) / 2) do
@@ -45,8 +47,9 @@ let pop q =
   else begin
     let top = q.arr.(0) in
     q.len <- q.len - 1;
+    q.arr.(0) <- q.arr.(q.len);
+    q.arr.(q.len) <- vacant;
     if q.len > 0 then begin
-      q.arr.(0) <- q.arr.(q.len);
       let i = ref 0 in
       let continue = ref true in
       while !continue do

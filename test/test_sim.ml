@@ -162,7 +162,66 @@ let heap_clear_tests =
         in
         Heap.clear h;
         Gc.full_major ();
-        checkb "payload collected after clear" true (Weak.check w 0 = false))
+        checkb "payload collected after clear" true (Weak.check w 0 = false));
+    Alcotest.test_case "pop releases payload references" `Quick (fun () ->
+        (* Popping must not leave the entry in the vacated slot: with the
+           queue still alive (and reused afterwards), every popped
+           payload must be collectable. *)
+        let h = Heap.create () in
+        let w = Weak.create 3 in
+        let fill () =
+          for i = 0 to 2 do
+            let payload = ref i in
+            Weak.set w i (Some payload);
+            Heap.add h ~time:i ~seq:i payload
+          done
+        in
+        let drain () =
+          while Heap.pop h <> None do
+            ()
+          done
+        in
+        fill ();
+        drain ();
+        Gc.full_major ();
+        for i = 0 to 2 do
+          checkb "payload collected after pop" true (Weak.check w i = false)
+        done;
+        Heap.add h ~time:9 ~seq:9 (ref 9);
+        checki "queue still usable" 1 (Heap.length h));
+    Alcotest.test_case "task queue pop releases task closures" `Quick
+      (fun () ->
+        (* Same for the engine's task queue: the entry holds the task
+           closure and the enqueuer's clock. *)
+        let q = Taskq.create () in
+        let w = Weak.create 3 in
+        let fill () =
+          for i = 0 to 2 do
+            let payload = ref i in
+            Weak.set w i (Some payload);
+            Taskq.add q ~time:i ~seq:i ~clk:Vclock.empty (fun () ->
+                incr payload)
+          done
+        in
+        let drain () =
+          let rec go () =
+            match Taskq.pop q with
+            | Some e ->
+              e.Taskq.fn ();
+              go ()
+            | None -> ()
+          in
+          go ()
+        in
+        fill ();
+        drain ();
+        Gc.full_major ();
+        for i = 0 to 2 do
+          checkb "closure payload collected after pop" true
+            (Weak.check w i = false)
+        done;
+        Taskq.add q ~time:9 ~seq:9 ~clk:Vclock.empty ignore;
+        checki "queue still usable" 1 (Taskq.length q))
   ]
 
 (* ---- structured event log: array representation ----------------------- *)

@@ -281,6 +281,19 @@ let queue_objs =
 
 let move_objs = [| "L1.e0"; "L2.e1" |]
 
+(* Event kind [sel] (0-7) on an object and op drawn from [k]. *)
+let synthetic_kind ~sel k =
+  let obj = queue_objs.(k mod Array.length queue_objs) in
+  match sel with
+  | 0 -> Event.Send { obj; op = "op" ^ string_of_int (k mod 3); unordered = false }
+  | 1 -> Event.Receive { obj; op = "op" }
+  | 2 -> Event.Signal { obj; woke = false }
+  | 3 -> Event.Signal { obj; woke = true }
+  | 4 -> Event.Signal_seen { obj }
+  | 5 -> Event.Wait { obj }
+  | 6 -> Event.Link_move { obj = move_objs.(k mod Array.length move_objs) }
+  | _ -> Event.Block { reason = "r" }
+
 let build_events nfibers steps =
   let clocks = Array.init nfibers (fun i -> Vclock.tick Vclock.empty i) in
   let time = ref 0 in
@@ -290,18 +303,7 @@ let build_events nfibers steps =
         clocks.(f) <- Vclock.merge clocks.(f) clocks.((f + 1 + m) mod nfibers);
       clocks.(f) <- Vclock.tick clocks.(f) f;
       if m mod 2 = 0 then incr time;
-      let obj = queue_objs.(k mod Array.length queue_objs) in
-      let kind =
-        match k mod 8 with
-        | 0 -> Event.Send { obj; op = "op" ^ string_of_int (k mod 3); unordered = false }
-        | 1 -> Event.Receive { obj; op = "op" }
-        | 2 -> Event.Signal { obj; woke = false }
-        | 3 -> Event.Signal { obj; woke = true }
-        | 4 -> Event.Signal_seen { obj }
-        | 5 -> Event.Wait { obj }
-        | 6 -> Event.Link_move { obj = move_objs.(k mod Array.length move_objs) }
-        | _ -> Event.Block { reason = "r" }
-      in
+      let kind = synthetic_kind ~sel:(k mod 8) k in
       {
         Event.ev_time = Time.ms !time;
         ev_fiber = f;
@@ -326,8 +328,135 @@ let events_arb =
         (List.map Event.describe (build_events nfibers steps)))
     gen
 
+(* Chain streams: long runs of sends into one queue along a causal
+   chain — one sender, or a hand-off where the next sender has merged
+   the last one's clock — each broken by an interloper that may or may
+   not have seen the chain, then resumed by the chain's sender, which
+   may or may not have seen the interloper.  Unbroken runs take R-MSG's
+   fast path; every unseen interloper forces the exact loop.  Receives
+   and moves on the queues' link ends keep R-MOVE in play. *)
+let chain_objs = [| "L1.e0.req"; "L1.e0.rep"; "L2.e1.req" |]
+
+let build_chain_events nfibers segments =
+  let clocks = Array.init nfibers (fun i -> Vclock.tick Vclock.empty i) in
+  let time = ref 0 in
+  let events = ref [] in
+  let emit f kind =
+    clocks.(f) <- Vclock.tick clocks.(f) f;
+    incr time;
+    events :=
+      {
+        Event.ev_time = Time.us !time;
+        ev_fiber = f;
+        ev_clock = clocks.(f);
+        ev_kind = kind;
+      }
+      :: !events
+  in
+  let send f obj op = emit f (Event.Send { obj; op; unordered = false }) in
+  List.iter
+    (fun (o, (sender, len, handoff), (il, il_sees, resume_sees), extra) ->
+      let obj = chain_objs.(o mod Array.length chain_objs) in
+      let cur = ref (sender mod nfibers) in
+      for i = 1 to len do
+        if handoff > 0 && i mod handoff = 0 then begin
+          let next = (!cur + 1) mod nfibers in
+          clocks.(next) <- Vclock.merge clocks.(next) clocks.(!cur);
+          cur := next
+        end;
+        send !cur obj ("c" ^ string_of_int (i mod 3))
+      done;
+      let il = il mod nfibers in
+      if il_sees then clocks.(il) <- Vclock.merge clocks.(il) clocks.(!cur);
+      send il obj "interloper";
+      if resume_sees then
+        clocks.(!cur) <- Vclock.merge clocks.(!cur) clocks.(il);
+      send !cur obj "resumed";
+      match extra mod 4 with
+      | 0 -> emit ((il + 1) mod nfibers) (Event.Receive { obj; op = "op" })
+      | 1 ->
+        let mobj = String.sub obj 0 5 in
+        emit ((!cur + extra) mod nfibers) (Event.Link_move { obj = mobj })
+      | _ -> ())
+    segments;
+  List.rev !events
+
+let chain_arb =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 2 4 >>= fun nfibers ->
+      list_size (int_range 1 5)
+        (quad (int_bound 2)
+           (triple (int_bound 3) (int_range 5 40) (int_bound 8))
+           (triple (int_bound 3) bool bool)
+           (int_bound 7))
+      >|= fun segments -> (nfibers, segments))
+  in
+  make
+    ~print:(fun (nfibers, segments) ->
+      String.concat "\n"
+        (List.map Event.describe (build_chain_events nfibers segments)))
+    gen
+
+(* Clocks that break the engine's invariant: besides ticks and merges, a
+   fiber's clock jumps, on a third of its events, to an arbitrary small
+   vector, often below its previous one, so per-fiber clocks are not
+   monotone and equal clocks recur.  Half the events are sends, so
+   R-MSG's join summary is exercised on clocks no engine would
+   produce. *)
+let jumbled_clock nfibers f v =
+  let c = ref Vclock.empty in
+  for i = 0 to nfibers - 1 do
+    for _ = 1 to (v lsr (2 * i)) land 3 do
+      c := Vclock.tick !c i
+    done
+  done;
+  Vclock.tick !c f
+
+let build_jumbled_events nfibers steps =
+  let clocks = Array.init nfibers (fun i -> Vclock.tick Vclock.empty i) in
+  List.mapi
+    (fun i (f, k, m, jump) ->
+      if jump < 256 then clocks.(f) <- jumbled_clock nfibers f jump
+      else begin
+        if m mod 3 = 0 then
+          clocks.(f) <- Vclock.merge clocks.(f) clocks.((f + 1 + m) mod nfibers);
+        clocks.(f) <- Vclock.tick clocks.(f) f
+      end;
+      let kind =
+        synthetic_kind ~sel:(if k mod 2 = 0 then 0 else k / 2 mod 8) k
+      in
+      {
+        Event.ev_time = Time.ms (i / 2);
+        ev_fiber = f;
+        ev_clock = clocks.(f);
+        ev_kind = kind;
+      })
+    steps
+
+let jumbled_arb =
+  let open QCheck in
+  let gen =
+    Gen.(
+      int_range 2 4 >>= fun nfibers ->
+      int_range 10 120 >>= fun n ->
+      list_repeat n
+        (quad (int_bound (nfibers - 1)) (int_bound 1000) (int_bound 11)
+           (int_bound 767))
+      >|= fun steps -> (nfibers, steps))
+  in
+  make
+    ~print:(fun (nfibers, steps) ->
+      String.concat "\n"
+        (List.map Event.describe (build_jumbled_events nfibers steps)))
+    gen
+
 let render (f : R.finding) =
   Printf.sprintf "%s %s: %s" f.R.r_rule f.R.r_obj f.R.r_detail
+
+let same_as_batch events =
+  List.map render (R.analyze events) = List.map render (Batch.analyze events)
 
 (* Property 1: on arbitrary synthetic streams (clock structure and all),
    the incremental detector equals the reference batch detector. *)
@@ -336,9 +465,24 @@ let prop_synthetic_equal =
     ~name:"streaming detector == batch reference on synthetic streams"
     events_arb
     (fun (nfibers, steps) ->
-      let events = Array.of_list (build_events nfibers steps) in
-      List.map render (R.analyze events)
-      = List.map render (Batch.analyze events))
+      same_as_batch (Array.of_list (build_events nfibers steps)))
+
+(* Property 1b: long causal chains broken by interlopers, where R-MSG
+   alternates between its fast path and the exact loop. *)
+let prop_chain_equal =
+  QCheck.Test.make ~count:1000
+    ~name:"streaming detector == batch reference on broken causal chains"
+    chain_arb
+    (fun (nfibers, segments) ->
+      same_as_batch (Array.of_list (build_chain_events nfibers segments)))
+
+(* Property 1c: exactness does not rest on the engine's clock invariant. *)
+let prop_jumbled_equal =
+  QCheck.Test.make ~count:1000
+    ~name:"streaming detector == batch reference on non-monotone clocks"
+    jumbled_arb
+    (fun (nfibers, steps) ->
+      same_as_batch (Array.of_list (build_jumbled_events nfibers steps)))
 
 (* Property 2: findings survive being fed one event at a time with
    intermediate conclusions (the state stays usable after [findings]). *)
@@ -358,23 +502,38 @@ let prop_incremental_refeed =
       = List.map render (Batch.analyze events))
 
 (* The differential is only as strong as the streams are interesting:
-   every rule must actually fire somewhere in the sampled space, or the
-   equality above could be vacuously comparing empty lists. *)
+   every rule must actually fire somewhere in each generator's sampled
+   space, or the equalities above could be vacuously comparing empty
+   lists.  The chain generator has no signals, so R-SIG cannot fire
+   there; instead it must also produce clean streams, where every send
+   took the fast path. *)
 let test_generator_not_vacuous () =
-  let rand = Random.State.make [| 42 |] in
-  let seen = Hashtbl.create 3 in
-  for _ = 1 to 300 do
-    let nfibers, steps =
-      QCheck.Gen.generate1 ~rand (QCheck.gen events_arb)
-    in
+  let sample name arb build rules =
+    let rand = Random.State.make [| 42 |] in
+    let seen = Hashtbl.create 3 in
+    for _ = 1 to 300 do
+      let findings =
+        R.analyze
+          (Array.of_list (build (QCheck.Gen.generate1 ~rand (QCheck.gen arb))))
+      in
+      if findings = [] then Hashtbl.replace seen "clean" ();
+      List.iter
+        (fun (f : R.finding) -> Hashtbl.replace seen f.R.r_rule ())
+        findings
+    done;
     List.iter
-      (fun (f : R.finding) -> Hashtbl.replace seen f.R.r_rule ())
-      (R.analyze (Array.of_list (build_events nfibers steps)))
-  done;
-  List.iter
-    (fun rule ->
-      Alcotest.(check bool) (rule ^ " exercised") true (Hashtbl.mem seen rule))
-    [ "R-MSG"; "R-SIG"; "R-MOVE" ]
+      (fun rule ->
+        Alcotest.(check bool)
+          (name ^ ": " ^ rule ^ " exercised")
+          true (Hashtbl.mem seen rule))
+      rules
+  in
+  let all = [ "R-MSG"; "R-SIG"; "R-MOVE" ] in
+  sample "synthetic" events_arb (fun (n, st) -> build_events n st) all;
+  sample "chains" chain_arb
+    (fun (n, segs) -> build_chain_events n segs)
+    [ "R-MSG"; "R-MOVE"; "clean" ];
+  sample "jumbled" jumbled_arb (fun (n, st) -> build_jumbled_events n st) all
 
 (* ---- scenario-product differential ------------------------------------ *)
 
@@ -520,6 +679,8 @@ let () =
       ( "detector",
         [
           QCheck_alcotest.to_alcotest prop_synthetic_equal;
+          QCheck_alcotest.to_alcotest prop_chain_equal;
+          QCheck_alcotest.to_alcotest prop_jumbled_equal;
           QCheck_alcotest.to_alcotest prop_incremental_refeed;
           Alcotest.test_case "every rule fires in the sampled space" `Quick
             test_generator_not_vacuous;
