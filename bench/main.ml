@@ -654,6 +654,27 @@ let micro () =
     let st = Analysis.Races.init () in
     Array.iter (Analysis.Races.feed st) chained_sends
   in
+  (* Vector clocks under thread churn: [n] fibers have run and the four
+     newest (highest ids) are still live.  They pass a message round a
+     ring: each step the receiver merges the sender's clock and ticks its
+     own component — the clock work of a wake plus an emit.  The other
+     [n - 4] components are history every clock carries, as finished
+     LYNX coroutines leave behind; a step's cost should not follow
+     them. *)
+  let vclock_ring n =
+    let history =
+      List.fold_left Sim.Vclock.tick Sim.Vclock.empty (List.init (n - 4) Fun.id)
+    in
+    let clocks = Array.init 4 (fun f -> Sim.Vclock.tick history (n - 4 + f)) in
+    let cur = ref 0 in
+    fun () ->
+      for _ = 1 to 100 do
+        let f = !cur and g = (!cur + 1) land 3 in
+        clocks.(g) <-
+          Sim.Vclock.tick (Sim.Vclock.merge clocks.(g) clocks.(f)) (n - 4 + g);
+        cur := g
+      done
+  in
   let tests =
     [
       Test.make ~name:"engine: 100 timer events" (Staged.stage engine_events);
@@ -666,6 +687,10 @@ let micro () =
         (Staged.stage chrysalis_rpc_screened);
       Test.make ~name:"shard RPC sim, 1 shard" (Staged.stage shard_rpc_one);
       Test.make ~name:"races: feed, chained sends" (Staged.stage races_feed);
+      Test.make ~name:"vclock: tick+merge, 8 fibers"
+        (Staged.stage (vclock_ring 8));
+      Test.make ~name:"vclock: tick+merge, 512 fibers"
+        (Staged.stage (vclock_ring 512));
     ]
   in
   let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.5) ~kde:None () in

@@ -201,12 +201,10 @@ let feed st (ev : Event.t) =
   | Event.Drop _ | Event.Fault _ ->
     ()
 
-(* Sorted object-name array: rule output order, and the substrate for
-   the R-MOVE prefix range search. *)
-let sorted_objs tbl =
-  let objs = Array.of_seq (Tbl.to_seq_keys tbl) in
-  Array.sort compare objs;
-  objs
+let sorted names =
+  let a = Array.of_list names in
+  Array.sort String.compare a;
+  a
 
 let starts_with ~prefix s =
   String.length s > String.length prefix
@@ -326,9 +324,10 @@ let signal_races tbl objs =
 (* R-MOVE: a send into one of a moved end's queues, concurrent with the
    move and never consumed by a receive on that queue.  The moved end's
    queues all share the ["<end>."] name prefix, so they occupy a
-   contiguous range of the sorted object array — a binary search plus a
-   bounded scan replaces a full-table prefix test per moved object. *)
-let move_races tbl objs =
+   contiguous range of [objs], every object name sorted — a binary
+   search plus a bounded scan replaces a full-table prefix test per
+   moved object in [moved]. *)
+let move_races tbl objs moved =
   List.filter_map
     (fun mobj ->
       let ms = Tbl.find tbl mobj in
@@ -377,13 +376,30 @@ let move_races tbl objs =
                    fiber #%d on %s: the message was never received"
                   mfid op sfid qobj;
             }))
-    (Array.to_list objs)
+    (Array.to_list moved)
 
+(* Rule output runs in object-name order.  Only objects that can
+   yield a finding are sorted: an R-MSG conclusion or a surviving
+   signal for the first two rules, a move for R-MOVE — whose range
+   search alone needs every name, sorted, and only when something
+   moved. *)
 let findings st =
-  let objs = sorted_objs st.st_tbl in
-  message_races st.st_tbl objs
-  @ signal_races st.st_tbl objs
-  @ move_races st.st_tbl objs
+  let tbl = st.st_tbl in
+  let flagged = ref [] and moved = ref [] in
+  Tbl.iter
+    (fun obj s ->
+      if Option.is_some s.os_first || not (is_empty s.os_sigs) then
+        flagged := obj :: !flagged;
+      if s.os_moves <> [] then moved := obj :: !moved)
+    tbl;
+  let flagged = sorted !flagged in
+  message_races tbl flagged
+  @ signal_races tbl flagged
+  @
+  match !moved with
+  | [] -> []
+  | moved ->
+    move_races tbl (sorted (List.of_seq (Tbl.to_seq_keys tbl))) (sorted moved)
 
 let analyze events =
   let st = init () in

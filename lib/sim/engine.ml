@@ -166,7 +166,7 @@ let clock = current_clock
 let grow_events t ~cap_limit =
   let cap = Array.length t.ev_arr in
   let ncap = min cap_limit (if cap = 0 then 256 else cap * 2) in
-  let narr = Array.make ncap t.ev_arr.(0) in
+  let narr = Array.make ncap Event.filler in
   Array.blit t.ev_arr 0 narr 0 t.ev_len;
   t.ev_arr <- narr
 
@@ -278,8 +278,14 @@ let events t =
       t.ev_arr <- Array.sub t.ev_arr 0 t.ev_len;
     t.ev_arr
   | Some _ ->
-    let n = Array.length t.ev_arr in
-    Array.init t.ev_len (fun i -> t.ev_arr.((t.ev_start + i) mod n))
+    (* [ev_start > 0] only once the ring is full ([ev_len] = its
+       length), so the oldest-first order is [ev_start..] then
+       [..ev_start). *)
+    let a = Array.make t.ev_len Event.filler in
+    let older = t.ev_len - t.ev_start in
+    Array.blit t.ev_arr t.ev_start a 0 older;
+    Array.blit t.ev_arr 0 a older t.ev_start;
+    a
 
 let iter_events t f =
   let arr = t.ev_arr in

@@ -19,6 +19,9 @@ type t = {
   ev_kind : kind;
 }
 
+let filler =
+  { ev_time = Time.zero; ev_fiber = -1; ev_clock = Vclock.empty; ev_kind = Note "" }
+
 let obj t =
   match t.ev_kind with
   | Send { obj; _ }

@@ -43,6 +43,12 @@ type t = {
   ev_kind : kind;
 }
 
+val filler : t
+(** An inert event for the unused slots of event arrays.  OCaml forces a
+    minor collection whenever it makes an array of more than 256 words
+    seeded with a minor-heap value, as a just-emitted event is; this one
+    is allocated once, at start-up, and is long promoted by then. *)
+
 val obj : t -> string option
 (** The kernel object an event is keyed by, if any. *)
 

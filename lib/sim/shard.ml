@@ -43,9 +43,9 @@ type evbuf = { mutable eb_arr : Event.t array; mutable eb_len : int }
 
 let evbuf_push b ev =
   if b.eb_len = Array.length b.eb_arr then
-    if b.eb_len = 0 then b.eb_arr <- Array.make 256 ev
+    if b.eb_len = 0 then b.eb_arr <- Array.make 256 Event.filler
     else begin
-      let narr = Array.make (2 * b.eb_len) ev in
+      let narr = Array.make (2 * b.eb_len) Event.filler in
       Array.blit b.eb_arr 0 narr 0 b.eb_len;
       b.eb_arr <- narr
     end;
@@ -59,6 +59,11 @@ type 'msg t = {
   sink : Engine.t;
   engines : Engine.t array;
   buffers : evbuf array;
+  (* [merge_window]'s sort buffers, reused across windows.  Per
+     coordinator, never shared: coordinators of one sweep run on
+     different domains at once. *)
+  mutable sort_a : Event.t array;
+  mutable sort_b : Event.t array;
   outboxes : 'msg pending list ref array;
   stats : Stats.t array;
   (* Exchanged but not yet injected; keyed by (deliver ns, tie), where
@@ -123,6 +128,8 @@ let create ?(shards = 1) ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace
     sink;
     engines;
     buffers;
+    sort_a = [||];
+    sort_b = [||];
     outboxes = Array.init shards (fun _ -> ref []);
     stats = Array.init shards (fun _ -> Stats.create ());
     pending = Heap.create ();
@@ -336,26 +343,78 @@ let cmp_event a b =
   let c = compare (Time.to_ns a.Event.ev_time) (Time.to_ns b.Event.ev_time) in
   if c <> 0 then c else compare (owner a) (owner b)
 
+(* Stable merge sort of [a.(0 .. n-1)] by [cmp_event], with [b] (at
+   least [n] long) as the target of every other pass; returns whichever
+   of the two holds the result.  [Array.stable_sort] would allocate its
+   temporary arrays seeded with a just-emitted event, which forces a minor
+   collection per window once a window spans more than 256 events. *)
+let sort_window a b n =
+  let run = 8 in
+  let lo = ref 0 in
+  while !lo < n do
+    let hi = min n (!lo + run) in
+    for j = !lo + 1 to hi - 1 do
+      let x = a.(j) in
+      let k = ref (j - 1) in
+      while !k >= !lo && cmp_event a.(!k) x > 0 do
+        a.(!k + 1) <- a.(!k);
+        k := !k - 1
+      done;
+      a.(!k + 1) <- x
+    done;
+    lo := hi
+  done;
+  let src = ref a and dst = ref b and width = ref run in
+  while !width < n do
+    let s = !src and d = !dst in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min n (!lo + !width) in
+      let hi = min n (mid + !width) in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !i < mid && (!j >= hi || cmp_event s.(!i) s.(!j) <= 0) then begin
+          d.(k) <- s.(!i);
+          i := !i + 1
+        end
+        else begin
+          d.(k) <- s.(!j);
+          j := !j + 1
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * !width
+  done;
+  !src
+
 (* Stably merges the per-shard window buffers by (time, owner) and
    absorbs them into the sink — the canonical stream a 1-shard run
    would have produced, fed to the sink's hash, consumers and log. *)
 let merge_window t =
   let total = Array.fold_left (fun a b -> a + b.eb_len) 0 t.buffers in
   if total > 0 then begin
-    let first =
-      let b = Array.to_seq t.buffers |> Seq.find (fun b -> b.eb_len > 0) in
-      (Option.get b).eb_arr.(0)
-    in
-    let all = Array.make total first in
+    if Array.length t.sort_a < total then begin
+      let cap = max total (2 * Array.length t.sort_a) in
+      t.sort_a <- Array.make cap Event.filler;
+      t.sort_b <- Array.make cap Event.filler
+    end;
     let off = ref 0 in
     Array.iter
       (fun b ->
-        Array.blit b.eb_arr 0 all !off b.eb_len;
+        Array.blit b.eb_arr 0 t.sort_a !off b.eb_len;
         off := !off + b.eb_len;
         b.eb_len <- 0)
       t.buffers;
-    Array.stable_sort cmp_event all;
-    Array.iter (Engine.absorb t.sink) all
+    let sorted = sort_window t.sort_a t.sort_b total in
+    for i = 0 to total - 1 do
+      Engine.absorb t.sink sorted.(i)
+    done;
+    (* Drop the window's events: the sink decides what stays alive. *)
+    Array.fill t.sort_a 0 total Event.filler;
+    Array.fill t.sort_b 0 total Event.filler
   end
 
 let drain_windows t pool =

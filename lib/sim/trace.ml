@@ -1,6 +1,9 @@
 type t = {
   capacity : int;
-  ring : (Time.t * string) option array;
+  (* Allocated on the first [record]: most engines never record a line
+     (legacy trace off, shard sub-engines), and a ring costs [capacity]
+     words in the major heap. *)
+  mutable ring : (Time.t * string) option array;
   mutable next : int;
   mutable count : int;
   mutable hash : int64;
@@ -13,7 +16,7 @@ let fnv_prime = 0x100000001B3L
 let create ?(capacity = 4096) () =
   {
     capacity;
-    ring = Array.make capacity None;
+    ring = [||];
     next = 0;
     count = 0;
     hash = fnv_offset;
@@ -37,6 +40,7 @@ let fold_string h s =
 
 let record t time msg =
   t.hash <- fold_string (fold_int t.hash (Time.to_ns time)) msg;
+  if Array.length t.ring = 0 then t.ring <- Array.make t.capacity None;
   t.ring.(t.next) <- Some (time, msg);
   t.next <- (t.next + 1) mod t.capacity;
   t.count <- t.count + 1;
@@ -61,7 +65,7 @@ let recent t n =
 let set_echo t f = t.echo <- f
 
 let clear t =
-  Array.fill t.ring 0 t.capacity None;
+  Array.fill t.ring 0 (Array.length t.ring) None;
   t.next <- 0;
   t.count <- 0;
   t.hash <- fnv_offset

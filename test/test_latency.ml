@@ -97,4 +97,34 @@ let tests =
         Alcotest.check (Alcotest.float 0.0001) "same" a b);
   ]
 
-let () = Alcotest.run "latency" [ ("calibration", tests) ]
+(* Host cost must not grow with thread churn.  LYNX runs every incoming
+   request in a fresh coroutine, so a longer pipelined run has spawned
+   more threads, each leaving a component in every vector clock
+   downstream of it.  Words allocated per call at 4 x 160 calls must
+   stay within 15% of 4 x 10 calls on every backend: with clocks whose
+   per-event cost follows their width this grew 2.5x (Charlotte) to 6x
+   (SODA).  Minor-heap words are exact at one domain; the fixed set-up
+   cost of a run only makes the short run read higher. *)
+let words_per_call b ~calls =
+  let before = Gc.minor_words () in
+  ignore (Harness.Rpc_bench.throughput ~coroutines:4 ~calls b ~payload:0 ());
+  (Gc.minor_words () -. before) /. float_of_int (4 * calls)
+
+let churn_tests =
+  List.map
+    (fun b ->
+      let name = Harness.Backend_world.name b in
+      Alcotest.test_case
+        (Printf.sprintf "%s: words/call flat from 10 to 160 calls" name)
+        `Quick (fun () ->
+          let short = words_per_call b ~calls:10 in
+          let long = words_per_call b ~calls:160 in
+          checkb
+            (Printf.sprintf "%.0f words/call at 160 calls vs %.0f at 10" long
+               short)
+            true
+            (long <= short *. 1.15)))
+    Harness.Backend_world.all
+
+let () =
+  Alcotest.run "latency" [ ("calibration", tests); ("churn", churn_tests) ]

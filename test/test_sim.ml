@@ -1141,6 +1141,116 @@ let extra_tests =
         checkb "not zero" false (Time.is_zero (Time.ns 1)));
   ]
 
+(* ---- Vector clocks ------------------------------------------------------- *)
+
+(* [Vclock] against the list oracle in [Vclock_ref].  A pool of eight
+   clocks, each paired with its oracle twin, goes through random ops:
+   owner ticks (each slot has a home fiber id, spread over 0..600 so the
+   trie takes varied shapes), ticks by an arbitrary id (re-owning the
+   clock), merges in both orders, plain copies (physically shared
+   clocks), and resets to an arbitrary vector — so later merges combine
+   clocks with no common history and per-fiber counters go backwards,
+   as no engine-generated stream would.  After every op the touched
+   clock must agree with its twin on [to_string], on [get] at a few ids
+   and on [leq]/[compare_causal]/[concurrent] against every slot. *)
+let vclock_slots = 8
+
+let arbitrary_clock seed =
+  let c = ref Vclock.empty and r = ref Vclock_ref.empty in
+  let x = ref seed in
+  for _ = 0 to seed mod 6 do
+    x := ((!x * 1103515245) + 12345) land 0x3FFFFFFF;
+    let id = !x mod 601 in
+    for _ = 0 to (!x lsr 12) mod 4 do
+      c := Vclock.tick !c id;
+      r := Vclock_ref.tick !r id
+    done
+  done;
+  (!c, !r)
+
+let vclock_differential =
+  QCheck.Test.make ~name:"Vclock agrees with the list oracle" ~count:1000
+    QCheck.(
+      list_of_size
+        Gen.(int_range 1 80)
+        (quad (int_bound 9) (int_bound 7) (int_bound 7) (int_bound 600)))
+    (fun ops ->
+      let cs = Array.make vclock_slots Vclock.empty in
+      let rs = Array.make vclock_slots Vclock_ref.empty in
+      let agree x ids =
+        Vclock.to_string cs.(x) = Vclock_ref.to_string rs.(x)
+        && List.for_all (fun i -> Vclock.get cs.(x) i = Vclock_ref.get rs.(x) i) ids
+        && List.for_all
+             (fun y ->
+               Vclock.leq cs.(x) cs.(y) = Vclock_ref.leq rs.(x) rs.(y)
+               && Vclock.leq cs.(y) cs.(x) = Vclock_ref.leq rs.(y) rs.(x)
+               && Vclock.compare_causal cs.(x) cs.(y)
+                  = Vclock_ref.compare_causal rs.(x) rs.(y)
+               && Vclock.concurrent cs.(x) cs.(y)
+                  = (Vclock_ref.compare_causal rs.(x) rs.(y) = `Concurrent))
+             (List.init vclock_slots Fun.id)
+      in
+      List.for_all
+        (fun (op, x, y, z) ->
+          let home = x * 75 in
+          (match op with
+          | 0 | 1 | 2 | 3 ->
+            cs.(x) <- Vclock.tick cs.(x) home;
+            rs.(x) <- Vclock_ref.tick rs.(x) home
+          | 4 ->
+            cs.(x) <- Vclock.tick cs.(x) z;
+            rs.(x) <- Vclock_ref.tick rs.(x) z
+          | 5 | 6 | 7 ->
+            cs.(x) <- Vclock.merge cs.(x) cs.(y);
+            rs.(x) <- Vclock_ref.merge rs.(x) rs.(y)
+          | 8 ->
+            cs.(x) <- Vclock.merge cs.(y) cs.(x);
+            rs.(x) <- Vclock_ref.merge rs.(y) rs.(x)
+          | _ ->
+            if y land 1 = 0 then begin
+              let c, r = arbitrary_clock z in
+              cs.(x) <- c;
+              rs.(x) <- r
+            end
+            else begin
+              cs.(x) <- cs.(y);
+              rs.(x) <- rs.(y)
+            end);
+          agree x [ home; y * 75; z; (z * 7) mod 601 ])
+        ops)
+
+let vclock_tests =
+  [
+    Alcotest.test_case "to_string ascends across the sign bit" `Quick
+      (fun () ->
+        let ids = [ 5; -3; 0; max_int; -1; min_int; 64; 2 ] in
+        let c = List.fold_left Vclock.tick Vclock.empty ids in
+        let r = List.fold_left Vclock_ref.tick Vclock_ref.empty ids in
+        check Alcotest.string "render" (Vclock_ref.to_string r)
+          (Vclock.to_string c);
+        let c' = Vclock.merge (Vclock.tick Vclock.empty (-7)) c in
+        let r' = Vclock_ref.merge (Vclock_ref.tick Vclock_ref.empty (-7)) r in
+        check Alcotest.string "merged" (Vclock_ref.to_string r')
+          (Vclock.to_string c');
+        checkb "leq" true (Vclock.leq c c');
+        checkb "not leq" false (Vclock.leq c' c));
+    Alcotest.test_case "a merge that learns nothing returns its input" `Quick
+      (fun () ->
+        (* A fiber's clock merged with an older snapshot of itself, or
+           with a clock it already heard from, is physically unchanged. *)
+        let base =
+          List.fold_left Vclock.tick Vclock.empty (List.init 300 (fun i -> i))
+        in
+        let a = Vclock.tick (Vclock.tick base 7) 7 in
+        let b = Vclock.tick base 400 in
+        let ab = Vclock.merge a b in
+        checkb "a absorbs base" true (Vclock.merge a base == a);
+        checkb "base into a" true (Vclock.merge base a == a);
+        checkb "ab absorbs b" true (Vclock.merge ab b == ab);
+        checkb "ab absorbs a" true (Vclock.merge ab a == ab);
+        checkb "self" true (Vclock.merge ab ab == ab));
+  ]
+
 let () =
   Alcotest.run "sim"
     [
@@ -1157,4 +1267,6 @@ let () =
       ("event-log", event_log_tests);
       ("sync", sync_tests);
       ("extra", extra_tests);
+      ( "vclock",
+        vclock_tests @ [ QCheck_alcotest.to_alcotest vclock_differential ] );
     ]
