@@ -94,34 +94,49 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
   let hists = Array.init shards (fun _ -> Stats.Histogram.create ()) in
   let record ctx lat = Stats.Histogram.add hists.(Shard.home ctx) lat in
   let checksum key size = Shard_rpc.checksum ~key ~size ~spin in
-  (* The client body shared by every topology: wait (think time or
+  (* Every node is a stackless step program (DESIGN §17): [Shard.recv]
+     and [Shard.sleep] take the rest of the node as a continuation.
+
+     The client body shared by every topology: wait (think time or
      open-loop arrival), fire one priced request at [server], verify the
      reply checksum against [expect] and record the reply latency. *)
   let client_body ~server ~ttl ~expect ctx =
     let rng = Shard.rng ctx in
     let me = Shard.self ctx in
-    let once () =
+    let once k =
       let size = 64 + Rng.int rng max_payload in
       let key = Rng.int rng 0x3FFFFFFF in
       let t0 = Shard.now ctx in
       Shard.send ctx ~dst:server ~latency:(xfer size) ~op:"wl.req"
         (Req { t0; key; size; ttl; client = me });
       Shard.incr ctx "wl.requests" 1;
-      match Shard.recv ctx with
-      | Rep { check; _ } when check = expect key size ->
-        record ctx (Time.sub (Shard.now ctx) t0);
-        Shard.incr ctx "wl.replies" 1
-      | _ -> Shard.incr ctx "wl.errors" 1
+      Shard.recv ctx (fun reply ->
+          (match reply with
+          | Rep { check; _ } when check = expect key size ->
+            record ctx (Time.sub (Shard.now ctx) t0);
+            Shard.incr ctx "wl.replies" 1
+          | _ -> Shard.incr ctx "wl.errors" 1);
+          k ())
     in
     match load with
     | Closed { think; _ } ->
-      for _ = 1 to rounds do
-        Shard.sleep ctx (exp_draw rng think);
-        once ()
-      done
+      let rec round i =
+        if i <= rounds then
+          Shard.sleep ctx (exp_draw rng think) (fun () ->
+              once (fun () -> round (i + 1)))
+      in
+      round 1
     | Open { window } ->
-      Shard.sleep ctx (Time.ns (Rng.int rng (Stdlib.max 1 (Time.to_ns window))));
-      once ()
+      Shard.sleep ctx
+        (Time.ns (Rng.int rng (Stdlib.max 1 (Time.to_ns window))))
+        (fun () -> once ignore)
+  in
+  (* A server-side node that handles exactly [n] messages. *)
+  let rec serve ctx n handle =
+    if n > 0 then
+      Shard.recv ctx (fun m ->
+          handle m;
+          serve ctx (n - 1) handle)
   in
   (* Build the population cell by cell; node ids are assigned
      sequentially by [add_node], so each cell computes its members' ids
@@ -146,15 +161,13 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
       add
         (Printf.sprintf "srv%d" cell)
         (fun ctx ->
-          for _ = 1 to reqs do
-            match Shard.recv ctx with
+          serve ctx reqs (function
             | Req { t0; key; size; client; _ } ->
               let check = checksum key size in
               Shard.incr ctx "wl.served" 1;
               Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
                 (Rep { t0; check })
-            | _ -> Shard.incr ctx "wl.errors" 1
-          done);
+            | _ -> Shard.incr ctx "wl.errors" 1));
       for j = 0 to nc - 1 do
         add
           (Printf.sprintf "cli%d.%d" cell j)
@@ -180,8 +193,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
         add
           (Printf.sprintf "rly%d.%d" cell r)
           (fun ctx ->
-            for _ = 1 to expected do
-              match Shard.recv ctx with
+            serve ctx expected (function
               | Req { t0; key; size; ttl; client } ->
                 if ttl > 0 then
                   Shard.send ctx ~dst:next_relay ~latency:(xfer size)
@@ -193,8 +205,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
                   Shard.send ctx ~dst:client ~latency:(xfer 16) ~op:"wl.rep"
                     (Rep { t0; check })
                 end
-              | _ -> Shard.incr ctx "wl.errors" 1
-            done)
+              | _ -> Shard.incr ctx "wl.errors" 1))
       done;
       for j = 0 to nc - 1 do
         add
@@ -224,8 +235,7 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
                   (Sub { key = key + li; size; client }))
               leaves
           in
-          while !served < reqs do
-            match Shard.recv ctx with
+          let handle = function
             | Req { t0; key; size; client; _ } -> begin
               match !current with
               | None -> start (t0, key, size, client)
@@ -248,19 +258,24 @@ let run ?(seed = 42) ?(policy = Engine.Fifo) ?legacy_trace ?(shards = 1)
               | _ -> Shard.incr ctx "wl.errors" 1
             end
             | _ -> Shard.incr ctx "wl.errors" 1
-          done);
+          in
+          let rec loop () =
+            if !served < reqs then
+              Shard.recv ctx (fun m ->
+                  handle m;
+                  loop ())
+          in
+          loop ());
       Array.iteri
         (fun li _leaf_id ->
           add
             (Printf.sprintf "leaf%d.%d" cell li)
             (fun ctx ->
-              for _ = 1 to reqs do
-                match Shard.recv ctx with
+              serve ctx reqs (function
                 | Sub { key; size; client } ->
                   Shard.send ctx ~dst:root ~latency:(xfer 16) ~op:"wl.subrep"
                     (Sub_rep { check = checksum key size; client })
-                | _ -> Shard.incr ctx "wl.errors" 1
-              done))
+                | _ -> Shard.incr ctx "wl.errors" 1)))
         leaves;
       let expect key size =
         let acc = ref 0 in

@@ -151,13 +151,22 @@ let aborted (spec : Spec.t) exn =
    ambient fault plan, so pool workers never see each other's state. *)
 let run_streamed ?log_capacity (spec : Spec.t) =
   let state = ref (Analysis.Stream.init ()) in
+  let engines = ref [] in
   let attach eng =
+    engines := eng :: !engines;
     Sim.Engine.add_consumer eng (fun ev ->
         state := Analysis.Stream.feed ev !state)
   in
+  (* The outcome carries its engine's view, so once it exists (or the
+     run has raised) the engines are done with: release frees the
+     stacks of the fibers they left parked, which would otherwise stay
+     allocated for the life of the process. *)
   let o =
-    Sim.Engine.with_observer ?log_capacity ~attach (fun () ->
-        run_outcome spec)
+    Fun.protect
+      ~finally:(fun () -> List.iter Sim.Engine.release !engines)
+      (fun () ->
+        Sim.Engine.with_observer ?log_capacity ~attach (fun () ->
+            run_outcome spec))
   in
   (o, !state)
 

@@ -1,11 +1,25 @@
 type fiber_state = Runnable | Blocked of string | Finished | Crashed of exn
 
+(* What a suspended fiber is waiting to run, held so that a waker fires
+   at most once (it fires only while the fiber still holds the very
+   value it registered) and so that {!release} can find every stack
+   left parked when a run ends.  An effect fiber parks its continuation
+   ([Asleep] while in {!sleep}), which owns a malloc'd stack that OCaml
+   frees only when it is resumed; a stackless fiber parks its next
+   step, a closure. *)
+type parked =
+  | Unparked
+  | Parked : ('a, unit) Effect.Deep.continuation -> parked
+  | Asleep : (unit, unit) Effect.Deep.continuation -> parked
+  | Pending : ('a -> unit) -> parked
+
 type fiber = {
   fid : int;
   name : string;
   daemon : bool;
   mutable state : fiber_state;
   mutable clock : Vclock.t;
+  mutable parked : parked;
 }
 
 type policy =
@@ -378,56 +392,95 @@ let handle_crash t fiber exn =
     (Event.Crash
        { fid = fiber.fid; name = fiber.name; error = Printexc.to_string exn })
 
-let effc : type b. t -> fiber -> b Effect.t -> ((b, unit) Effect.Deep.continuation -> unit) option =
- fun t fiber eff ->
+(* ---- the suspension path ---------------------------------------------
+
+   Effect fibers and stackless fibers block, wake, finish and crash
+   through the helpers below, so a program emits the same events at the
+   same points, and enqueues its resumptions with the same [seq],
+   whichever way it runs. *)
+
+(* Suspend side: the fiber waits for [reason] from here on.  Inlined so
+   that a literal reason ("sleep") makes the [Block] kind a static
+   constant instead of a fresh block per suspension. *)
+let[@inline] block t fiber reason =
+  fiber.state <- Blocked reason;
+  emit t (Event.Block { reason })
+
+(* Resume side, first thing in the resumption task: the fiber runs
+   again, causally after its waker (whose clock the drain loop restored
+   as the ambient one).  Returns the context to restore afterwards. *)
+let[@inline] wake t fiber =
+  let prev = t.current in
+  t.current <- Some fiber;
+  fiber.state <- Runnable;
+  fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
+  prev
+
+(* Code that returns without blocking has finished the fiber. *)
+let finish fiber =
+  match fiber.state with Runnable -> fiber.state <- Finished | _ -> ()
+
+(* One step of a stackless fiber: it either ends in a blocking call
+   (the fiber stays blocked), returns (the fiber is done) or raises. *)
+let step t fiber k v =
+  match k v with
+  | () -> finish fiber
+  | exception exn -> handle_crash t fiber exn
+
+(* Raised into fibers still parked when their engine is released. *)
+exception Released
+
+(* An effect fiber's timer task, built once per fiber: a sleep parks
+   its continuation in the fiber instead of allocating a closure over
+   it, and {!release} can reach it there if the run ends first. *)
+let on_timer t fiber () =
+  match fiber.parked with
+  | Asleep k ->
+    fiber.parked <- Unparked;
+    let prev = wake t fiber in
+    Effect.Deep.continue k ();
+    t.current <- prev
+  | _ -> ()
+
+let effc : type b.
+    t -> fiber -> (unit -> unit) -> b Effect.t ->
+    ((b, unit) Effect.Deep.continuation -> unit) option =
+ fun t fiber timer eff ->
   match eff with
   | Suspend_with (reason, register) ->
     Some
       (fun (k : (b, unit) Effect.Deep.continuation) ->
-        fiber.state <- Blocked reason;
-        emit t (Event.Block { reason });
-        let fired = ref false in
-        let waker (r : (b, exn) result) =
-          if not !fired then begin
-            fired := true;
-            enqueue t t.now (fun () ->
-                let prev = t.current in
-                t.current <- Some fiber;
-                fiber.state <- Runnable;
-                (* The waker's cause happens before everything the fiber
-                   does from here on. *)
-                fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
-                (match r with
-                | Ok v -> Effect.Deep.continue k v
-                | Error e -> Effect.Deep.discontinue k e);
-                t.current <- prev)
-          end
-        in
-        register waker)
+        block t fiber reason;
+        let p = Parked k in
+        fiber.parked <- p;
+        register (fun (r : (b, exn) result) ->
+            if fiber.parked == p then begin
+              fiber.parked <- Unparked;
+              enqueue t t.now (fun () ->
+                  let prev = wake t fiber in
+                  (match r with
+                  | Ok v -> Effect.Deep.continue k v
+                  | Error e -> Effect.Deep.discontinue k e);
+                  t.current <- prev)
+            end))
   | Sleep_for d ->
     Some
       (fun (k : (b, unit) Effect.Deep.continuation) ->
-        fiber.state <- Blocked "sleep";
-        emit t (Event.Block { reason = "sleep" });
-        schedule_after t d (fun () ->
-            let prev = t.current in
-            t.current <- Some fiber;
-            fiber.state <- Runnable;
-            fiber.clock <- Vclock.merge fiber.clock t.amb_clock;
-            Effect.Deep.continue k ();
-            t.current <- prev))
+        block t fiber "sleep";
+        fiber.parked <- Asleep k;
+        schedule_after t d timer)
   | _ -> None
 
 (* [?fid] pins the fiber id explicitly.  Sharded runs need ids that are
    stable across partitionings — fiber N is node N on every shard
    count — so the per-engine [next_fid] counter cannot assign them. *)
-let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
+let new_fiber t ~who ?fid ~name ~daemon () =
   let fid =
     match fid with
     | Some fid ->
-      if fid < 0 then invalid_arg "Engine.spawn: negative fid";
+      if fid < 0 then invalid_arg (who ^ ": negative fid");
       if Hashtbl.mem t.fids fid then
-        invalid_arg (Printf.sprintf "Engine.spawn: fid %d already used" fid);
+        invalid_arg (Printf.sprintf "%s: fid %d already used" who fid);
       t.next_fid <- max t.next_fid (fid + 1);
       fid
     | None ->
@@ -439,41 +492,120 @@ let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
   (* The child starts causally after the spawn event in its parent. *)
   let fiber =
     { fid; name; daemon; state = Runnable;
-      clock = Vclock.tick (current_clock t) fid }
+      clock = Vclock.tick (current_clock t) fid; parked = Unparked }
   in
   Hashtbl.replace t.fids fid fiber;
   t.fibers <- fiber :: t.fibers;
+  fiber
+
+let spawn t ?fid ?(name = "fiber") ?(daemon = false) f =
+  let fiber = new_fiber t ~who:"Engine.spawn" ?fid ~name ~daemon () in
   enqueue t t.now (fun () ->
       let prev = t.current in
       t.current <- Some fiber;
+      let timer = on_timer t fiber in
       let handler =
         {
-          Effect.Deep.retc =
-            (fun () ->
-              match fiber.state with
-              | Crashed _ -> ()
-              | _ -> fiber.state <- Finished);
-          exnc = (fun exn -> handle_crash t fiber exn);
-          effc = (fun eff -> effc t fiber eff);
+          Effect.Deep.retc = (fun () -> finish fiber);
+          exnc =
+            (function
+            | Released -> fiber.state <- Finished
+            | exn -> handle_crash t fiber exn);
+          effc = (fun eff -> effc t fiber timer eff);
         }
       in
       Effect.Deep.match_with f () handler;
       t.current <- prev);
   fiber
 
-let suspend t ?(reason = "wait") register =
+let spawn_steps t ?fid ?(name = "fiber") ?(daemon = false) f =
+  let fiber = new_fiber t ~who:"Engine.spawn_steps" ?fid ~name ~daemon () in
+  enqueue t t.now (fun () ->
+      let prev = t.current in
+      t.current <- Some fiber;
+      step t fiber f ();
+      t.current <- prev);
+  fiber
+
+let current_exn t who =
   match t.current with
-  | None -> invalid_arg "Engine.suspend: not inside a fiber"
-  | Some _ -> Effect.perform (Suspend_with (reason, register))
+  | Some f -> f
+  | None -> invalid_arg (who ^ ": not inside a fiber")
+
+let suspend t ?(reason = "wait") register =
+  ignore (current_exn t "Engine.suspend");
+  Effect.perform (Suspend_with (reason, register))
 
 let sleep t d =
-  match t.current with
-  | None -> invalid_arg "Engine.suspend: not inside a fiber"
-  | Some _ -> Effect.perform (Sleep_for d)
+  ignore (current_exn t "Engine.suspend");
+  Effect.perform (Sleep_for d)
 
 let yield t =
   suspend t ~reason:"yield" (fun waker ->
       enqueue t t.now (fun () -> waker (Ok ())))
+
+(* The stackless counterparts of [suspend] and [sleep]: the same block,
+   the same waker (fire-once, one resumption task at the waker's time)
+   and the same timer task, with the rest of the fiber given as [k]
+   instead of captured as a continuation. *)
+let suspend_then t ?(reason = "wait") register k =
+  let fiber = current_exn t "Engine.suspend_then" in
+  block t fiber reason;
+  let p = Pending k in
+  fiber.parked <- p;
+  register (fun r ->
+      if fiber.parked == p then begin
+        fiber.parked <- Unparked;
+        enqueue t t.now (fun () ->
+            let prev = wake t fiber in
+            (match r with
+            | Ok v -> step t fiber k v
+            | Error e -> handle_crash t fiber e);
+            t.current <- prev)
+      end)
+
+let sleep_then t d k =
+  let fiber = current_exn t "Engine.sleep_then" in
+  block t fiber "sleep";
+  schedule_after t d (fun () ->
+      let prev = wake t fiber in
+      step t fiber k ();
+      t.current <- prev)
+
+(* A continuation dropped without being resumed never frees its stack,
+   so every fiber still parked when a run is over is discontinued with
+   [Released] (its [exnc] finishes it silently).  Cleanup code that
+   parks again is discontinued again on the next pass, up to a bound;
+   the consumers go first, so nothing the fibers emit on the way out
+   reaches an observer. *)
+let release_passes = 8
+
+let release t =
+  t.consumers <- [];
+  let discontinue fiber k =
+    fiber.parked <- Unparked;
+    let prev = t.current in
+    t.current <- Some fiber;
+    fiber.state <- Runnable;
+    Effect.Deep.discontinue k Released;
+    t.current <- prev
+  in
+  let rec pass n =
+    let resumed = ref false in
+    List.iter
+      (fun fiber ->
+        match fiber.parked with
+        | Unparked | Pending _ -> ()
+        | Parked k ->
+          resumed := true;
+          discontinue fiber k
+        | Asleep k ->
+          resumed := true;
+          discontinue fiber k)
+      t.fibers;
+    if !resumed && n > 1 then pass (n - 1)
+  in
+  pass release_passes
 
 let blocked_fibers t = List.filter_map fiber_blocked t.fibers
 

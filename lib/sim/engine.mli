@@ -3,9 +3,14 @@
     The engine advances a virtual clock and executes tasks from a priority
     queue.  Simulated processes are {e fibers}: ordinary OCaml functions
     that suspend via effect handlers whenever they wait for a simulated
-    event.  Execution is single-domain and cooperative, so fibers
-    interleave only at suspension points and a run is a pure function of
-    the seed and the program. *)
+    event, each on a stack of its own.  Actors whose code need not block
+    mid-computation can instead be {e stackless} fibers
+    ({!spawn_steps}): chains of steps, each ending in a blocking call
+    that names the next one.  Both kinds share one suspension path, so
+    a program emits the same events either way.  Execution is
+    single-domain and cooperative, so fibers interleave only at
+    suspension points and a run is a pure function of the seed and the
+    program. *)
 
 type t
 
@@ -215,6 +220,18 @@ val spawn : t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> f
     fiber ids globally — fiber [n] is node [n] at every shard count — so
     the per-engine counter cannot be the allocator. *)
 
+val spawn_steps :
+  t -> ?fid:int -> ?name:string -> ?daemon:bool -> (unit -> unit) -> fiber
+(** Like {!spawn}, but starts a {e stackless} fiber: no OCaml stack of
+    its own, its code a chain of steps instead of a continuation.  A
+    step runs with the fiber current, exactly like fiber code, and
+    either returns (the fiber is finished) or ends with one blocking
+    call — {!suspend_then} or {!sleep_then} — as its last action, which
+    names the next step.  An exception escaping a step crashes the
+    fiber as an uncaught one would.  Same record, id, [Spawn]/[Block]/
+    [Crash] events and clock as a fiber, so a program written either
+    way emits the same stream. *)
+
 val find_fiber : t -> int -> fiber option
 (** The fiber spawned with this id, if any: O(1). *)
 
@@ -246,6 +263,19 @@ val run_until : t -> Time.t -> unit
 
 val stop : t -> unit
 (** Makes {!run} return after the current task. *)
+
+val release : t -> unit
+(** Frees what a finished run left parked: clears the consumers, then
+    discontinues every fiber still blocked in {!suspend} or {!sleep}
+    with a private exception that finishes it silently (its
+    [Fun.protect ~finally] and handlers run; no [Crash] is recorded),
+    repeating for fibers whose cleanup suspends again, for a bounded
+    number of passes.  A fiber whose waker already fired but whose
+    resumption was still queued is not reached.  OCaml frees a
+    continuation's stack only when it is resumed, so without this every
+    fiber a run leaves blocked keeps its stack for the life of the
+    process.  Call it once the run's results (its {!view}) are taken:
+    events emitted on the way out are retained and hashed. *)
 
 val crashed : t -> (string * exn) list
 (** Fibers that died with an uncaught exception (when [~on_crash:`Record]). *)
@@ -298,6 +328,19 @@ val sleep : t -> Time.t -> unit
 
 val yield : t -> unit
 (** Re-queues the fiber at the current time, letting same-time tasks run. *)
+
+(** {1 Step operations — callable only inside a stackless fiber}
+
+    Each is the last action of the step that calls it; the step's
+    continuation [k] runs as the fiber's next step. *)
+
+val suspend_then : t -> ?reason:string -> ('a waker -> unit) -> ('a -> unit) -> unit
+(** {!suspend} for a stackless fiber: blocks it, calls [register] with
+    a waker, and runs [k v] once the waker fires with [Ok v] ([Error e]
+    crashes the fiber with [e]). *)
+
+val sleep_then : t -> Time.t -> (unit -> unit) -> unit
+(** {!sleep} for a stackless fiber: runs [k ()] after the duration. *)
 
 val current_fiber_name : t -> string
 (** Name of the running fiber, or ["<scheduler>"] outside any fiber. *)

@@ -170,7 +170,7 @@ let add_node t ?(daemon = false) ?name body =
   t.nodes <- node :: t.nodes;
   let eng = t.engines.(shard) in
   let ctx = { c_t = t; c_node = node; c_eng = eng } in
-  ignore (Engine.spawn eng ~fid:id ~name ~daemon (fun () -> body ctx));
+  ignore (Engine.spawn_steps eng ~fid:id ~name ~daemon (fun () -> body ctx));
   id
 
 (* ---- node operations -------------------------------------------------- *)
@@ -181,7 +181,7 @@ let node_name ctx = ctx.c_node.n_name
 let now ctx = Engine.now ctx.c_eng
 let rng ctx = ctx.c_node.n_rng
 let note ctx msg = Engine.emit ctx.c_eng (Event.Note msg)
-let sleep ctx d = Engine.sleep ctx.c_eng d
+let sleep ctx d k = Engine.sleep_then ctx.c_eng d k
 
 let incr ctx name by =
   Stats.incr ~by ctx.c_t.stats.(ctx.c_node.n_shard) name
@@ -236,23 +236,26 @@ let send ctx ~dst ?latency ?(op = "msg") msg =
   let ob = t.outboxes.(src.n_shard) in
   ob := pd :: !ob
 
-let recv ctx =
-  let node = ctx.c_node in
-  let pd =
-    if not (Queue.is_empty node.n_inbox) then begin
-      let pd = Queue.pop node.n_inbox in
-      Engine.merge_clock ctx.c_eng pd.pd_clk;
-      pd
-    end
-    else
-      (* The waker path needs no merge here: [Engine.inject] restores
-         the sender's clock as ambient, the waker enqueue captures it,
-         and the resume merges it into the fiber. *)
-      Engine.suspend ctx.c_eng ~reason:"recv" (fun waker ->
-          node.n_waker <- Some waker)
-  in
+let received ctx pd k =
   Engine.emit ctx.c_eng (Event.Receive { obj = pd.pd_obj; op = pd.pd_op });
-  pd.pd_msg
+  k pd.pd_msg
+
+(* A backlog is consumed by tail calls: [k] may call [recv] again, so a
+   long inbox never grows the host stack. *)
+let recv ctx k =
+  let node = ctx.c_node in
+  if not (Queue.is_empty node.n_inbox) then begin
+    let pd = Queue.pop node.n_inbox in
+    Engine.merge_clock ctx.c_eng pd.pd_clk;
+    received ctx pd k
+  end
+  else
+    (* The waker path needs no merge here: [Engine.inject] restores
+       the sender's clock as ambient, the waker enqueue captures it,
+       and the resume merges it into the fiber. *)
+    Engine.suspend_then ctx.c_eng ~reason:"recv"
+      (fun waker -> node.n_waker <- Some waker)
+      (fun pd -> received ctx pd k)
 
 (* ---- coordinator: exchange, merge, windows ---------------------------- *)
 
@@ -444,9 +447,9 @@ let drain_windows t pool =
         | Some p ->
             let workers = Pool.Persistent.workers p in
             Pool.Persistent.round p (fun slot ->
-                (* Shard i always drains on slot [i mod workers], so its
-                   effect continuations resume on the domain that
-                   captured them. *)
+                (* Shard i always drains on slot [i mod workers], so a
+                   node's steps always run on one domain (its home
+                   shard's accumulators need no synchronisation). *)
                 let i = ref slot in
                 while !i < t.k do
                   Engine.run_until t.engines.(!i) limit;
@@ -457,7 +460,8 @@ let drain_windows t pool =
         exchange t
   done
 
-(* A node's fiber: node [n] is fiber [n] of its shard's engine. *)
+(* A node's (stackless) fiber: node [n] is fiber [n] of its shard's
+   engine. *)
 let node_fiber t node =
   Option.get (Engine.find_fiber t.engines.(node.n_shard) node.n_id)
 

@@ -3,7 +3,7 @@
 
     A [Shard.t] owns [K] ordinary {!Engine.t}s, one per shard, each
     pinned to one domain of a resident {!Parallel.Pool.Persistent}
-    pool.  Nodes — sequential actor fibers — are assigned to shards
+    pool.  Nodes — sequential stackless actors — are assigned to shards
     round-robin by global id; a shard drains its own task queue freely
     within a virtual-time window of length [lookahead] (the minimum
     cross-node message latency, derived from the backend's kernel cost
@@ -19,7 +19,7 @@
     verdicts at [~shards:1], [2] and [8].  Everything observable is
     keyed by global node id, never by shard:
 
-    - fiber ids are assigned globally ([Engine.spawn ~fid:node_id]);
+    - fiber ids are assigned globally ([Engine.spawn_steps ~fid:node_id]);
     - each node draws from its own {!Rng.derive}d stream;
     - messages carry the sender's {!Vclock} snapshot and are injected
       with it ({!Engine.inject}), so happens-before edges cross shards;
@@ -47,7 +47,7 @@ type 'msg t
 
 type 'msg ctx
 (** A node's handle to its own shard-local engine; valid only inside
-    that node's fiber. *)
+    that node's steps. *)
 
 val create :
   ?shards:int ->
@@ -77,7 +77,12 @@ val add_node : 'msg t -> ?daemon:bool -> ?name:string -> ('msg ctx -> unit) -> i
 (** Registers a node program and returns its global id (dense from 0,
     also its fiber id).  The node's shard is [id mod shards].  Must be
     called before {!run}; [daemon] nodes (e.g. servers parked in
-    {!recv}) are excluded from quiescence accounting. *)
+    {!recv}) are excluded from quiescence accounting.
+
+    A node is a stackless fiber ({!Engine.spawn_steps}): the program is
+    its first step, and {!recv} and {!sleep} take the rest of the node
+    as a continuation and must be the last thing a step does.  A node
+    whose step returns without either has finished. *)
 
 val run : ?expect_quiescent:bool -> 'msg t -> unit
 (** Drives windows until every shard is quiescent and no message is in
@@ -85,7 +90,7 @@ val run : ?expect_quiescent:bool -> 'msg t -> unit
     id); with [expect_quiescent], raises {!Engine.Deadlock} naming
     blocked non-daemon nodes.  May be called once. *)
 
-(** {1 Node operations} — callable only from inside a node's fiber. *)
+(** {1 Node operations} — callable only from inside a node's steps. *)
 
 val self : 'msg ctx -> int
 val home : 'msg ctx -> int
@@ -109,12 +114,16 @@ val send : 'msg ctx -> dst:int -> ?latency:Time.t -> ?op:string -> 'msg -> unit
     correctness of the whole exchange.  Emits an {!Event.Send} on the
     per-direction object ["n<src>->n<dst>"]. *)
 
-val recv : 'msg ctx -> 'msg
-(** Blocks until a message arrives; delivery order is the canonical
-    barrier order.  Emits an {!Event.Receive} and merges the sender's
-    clock into the node's. *)
+val recv : 'msg ctx -> ('msg -> unit) -> unit
+(** [recv ctx k] runs [k msg] with the next message, blocking until one
+    arrives; delivery order is the canonical barrier order.  Emits an
+    {!Event.Receive} and merges the sender's clock into the node's.
+    With a message already waiting, [k] is called in tail position, so
+    a node draining a long backlog does not grow the host stack. *)
 
-val sleep : 'msg ctx -> Time.t -> unit
+val sleep : 'msg ctx -> Time.t -> (unit -> unit) -> unit
+(** [sleep ctx d k] runs [k ()] after [d] of virtual time. *)
+
 val note : 'msg ctx -> string -> unit
 val incr : 'msg ctx -> string -> int -> unit
 (** Adds to a named counter (shard-local table, summed at the end), so

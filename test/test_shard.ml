@@ -11,25 +11,34 @@ open Sim
    checksum and reply; enough cross-node traffic that a partition bug
    (lost edge, reordered delivery, shard-keyed rng) shows up in the
    fingerprint immediately. *)
+let peer ~n ~rounds ~look ctx =
+  let me = Shard.self ctx in
+  let rng = Shard.rng ctx in
+  let rec round r =
+    if r <= rounds then begin
+      let dst = (me + 1 + Rng.int rng (n - 1)) mod n in
+      let lat = Time.add look (Time.us (Rng.int rng 40)) in
+      Shard.send ctx ~dst ~latency:lat ~op:"ping"
+        (Printf.sprintf "r%d from %d" r me);
+      Shard.incr ctx "mesh.sent" 1;
+      Shard.recv ctx (fun msg ->
+          Shard.incr ctx "mesh.got" (String.length msg);
+          let next () =
+            Shard.note ctx (Printf.sprintf "%d done r%d" me r);
+            round (r + 1)
+          in
+          if r mod 3 = 0 then Shard.sleep ctx (Time.us (Rng.int rng 120)) next
+          else next ())
+    end
+  in
+  round 1
+
 let mesh_workload ~nodes:n ~rounds ~shards ~seed ~policy () =
   let look = Time.us 50 in
   let t = Shard.create ~shards ~seed ~policy ~lookahead:look () in
   for i = 0 to n - 1 do
     ignore
-      (Shard.add_node t ~name:(Printf.sprintf "peer%d" i) (fun ctx ->
-           let me = Shard.self ctx in
-           let rng = Shard.rng ctx in
-           for r = 1 to rounds do
-             let dst = (me + 1 + Rng.int rng (n - 1)) mod n in
-             let lat = Time.add look (Time.us (Rng.int rng 40)) in
-             Shard.send ctx ~dst ~latency:lat ~op:"ping"
-               (Printf.sprintf "r%d from %d" r me);
-             Shard.incr ctx "mesh.sent" 1;
-             let msg = Shard.recv ctx in
-             Shard.incr ctx "mesh.got" (String.length msg);
-             if r mod 3 = 0 then Shard.sleep ctx (Time.us (Rng.int rng 120));
-             Shard.note ctx (Printf.sprintf "%d done r%d" me r)
-           done))
+      (Shard.add_node t ~name:(Printf.sprintf "peer%d" i) (peer ~n ~rounds ~look))
   done;
   Shard.run t;
   t
@@ -108,7 +117,7 @@ let test_boundary_delivery () =
   let t = Shard.create ~shards:2 ~lookahead:look () in
   let got = ref None in
   let _receiver =
-    Shard.add_node t ~name:"rx" (fun ctx -> got := Some (Shard.recv ctx))
+    Shard.add_node t ~name:"rx" (fun ctx -> Shard.recv ctx (fun m -> got := Some m))
   in
   let _sender =
     Shard.add_node t ~name:"tx" (fun ctx ->
@@ -122,7 +131,7 @@ let test_boundary_delivery () =
 
 let test_sub_lookahead_rejected () =
   let t = Shard.create ~shards:2 ~lookahead:(Time.ms 1) () in
-  let _rx = Shard.add_node t ~name:"rx" (fun ctx -> ignore (Shard.recv ctx)) in
+  let _rx = Shard.add_node t ~name:"rx" (fun ctx -> Shard.recv ctx ignore) in
   let _tx =
     Shard.add_node t ~name:"tx" (fun ctx ->
         Shard.send ctx ~dst:0 ~latency:(Time.us 999) "too-fast")
@@ -135,8 +144,8 @@ let test_sub_lookahead_rejected () =
 (* Deadlock detection surfaces blocked nodes in id order. *)
 let test_deadlock_named () =
   let t = Shard.create ~shards:2 ~lookahead:(Time.ms 1) () in
-  let _a = Shard.add_node t ~name:"alpha" (fun ctx -> ignore (Shard.recv ctx)) in
-  let _b = Shard.add_node t ~name:"beta" (fun ctx -> ignore (Shard.recv ctx)) in
+  let _a = Shard.add_node t ~name:"alpha" (fun ctx -> Shard.recv ctx ignore) in
+  let _b = Shard.add_node t ~name:"beta" (fun ctx -> Shard.recv ctx ignore) in
   Alcotest.check_raises "both starved" (Engine.Deadlock "alpha (recv), beta (recv)")
     (fun () -> Shard.run t ~expect_quiescent:true)
 
@@ -146,16 +155,15 @@ let test_deadlock_named () =
    with another's is reported once, under its own name. *)
 let test_deadlock_message () =
   let t = Shard.create ~shards:3 ~lookahead:(Time.ms 1) () in
-  let recv_forever ctx = ignore (Shard.recv ctx) in
-  let _ = Shard.add_node t ~name:"rx" (fun ctx -> Shard.sleep ctx (Time.ms 1)) in
+  let recv_forever ctx = Shard.recv ctx ignore in
+  let _ = Shard.add_node t ~name:"rx" (fun ctx -> Shard.sleep ctx (Time.ms 1) ignore) in
   let _ = Shard.add_node t ~name:"alpha" recv_forever in
   let _ = Shard.add_node t ~name:"gamma" ~daemon:true recv_forever in
   let _ = Shard.add_node t ~name:"rx (2)" recv_forever in
   let _ =
     Shard.add_node t ~name:"delta" (fun ctx ->
         Shard.send ctx ~dst:1 "wake";
-        Shard.sleep ctx (Time.ms 5);
-        recv_forever ctx)
+        Shard.sleep ctx (Time.ms 5) (fun () -> recv_forever ctx))
   in
   Alcotest.check_raises "blocked nodes by id"
     (Engine.Deadlock "rx (2) (recv), delta (recv)")
@@ -168,7 +176,7 @@ let test_deadlock_at_scale () =
   let n = 50_000 in
   let t = Shard.create ~shards:2 ~lookahead:(Time.ms 1) () in
   for _ = 1 to n do
-    ignore (Shard.add_node t (fun ctx -> ignore (Shard.recv ctx)))
+    ignore (Shard.add_node t (fun ctx -> Shard.recv ctx ignore))
   done;
   let t0 = Sys.time () in
   let msg =
@@ -183,6 +191,40 @@ let test_deadlock_at_scale () =
   Alcotest.(check string) "last" " node49999 (recv)" (List.nth entries (n - 1));
   if elapsed >= 1.0 then
     Alcotest.failf "reporting %d blocked nodes took %.2f s of CPU" n elapsed
+
+(* A node draining a backlog consumes it by tail calls: [recv] calls
+   its continuation in tail position when a message is waiting, so
+   100K queued messages run in constant host stack.  The stack limit
+   is lowered to 512 KB for the run; a [recv] that grew the stack per
+   message would overflow it and crash the node. *)
+let test_backlog_constant_stack () =
+  let n = 100_000 in
+  let t = Shard.create ~lookahead:(Time.ms 1) () in
+  let got = ref 0 in
+  let _sink =
+    Shard.add_node t ~name:"sink" (fun ctx ->
+        Shard.sleep ctx (Time.ms 10) (fun () ->
+            let rec drain () =
+              if !got < n then
+                Shard.recv ctx (fun _ ->
+                    incr got;
+                    drain ())
+            in
+            drain ()))
+  in
+  let _src =
+    Shard.add_node t ~name:"src" (fun ctx ->
+        for i = 1 to n do
+          Shard.send ctx ~dst:0 i
+        done)
+  in
+  let saved = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.stack_limit = 65_536 };
+      Shard.run t ~expect_quiescent:true);
+  Alcotest.(check int) "every queued message consumed" n !got
 
 (* Persistent pool reuse: many runs through one pool, byte-identical to
    private-pool runs. *)
@@ -204,21 +246,8 @@ let test_pool_reuse () =
         in
         for i = 0 to 5 do
           ignore
-            (Shard.add_node t ~name:(Printf.sprintf "peer%d" i) (fun ctx ->
-                 let me = Shard.self ctx in
-                 let rng = Shard.rng ctx in
-                 for r = 1 to 4 do
-                   let dst = (me + 1 + Rng.int rng 5) mod 6 in
-                   let lat = Time.add look (Time.us (Rng.int rng 40)) in
-                   Shard.send ctx ~dst ~latency:lat ~op:"ping"
-                     (Printf.sprintf "r%d from %d" r me);
-                   Shard.incr ctx "mesh.sent" 1;
-                   let msg = Shard.recv ctx in
-                   Shard.incr ctx "mesh.got" (String.length msg);
-                   if r mod 3 = 0 then
-                     Shard.sleep ctx (Time.us (Rng.int rng 120));
-                   Shard.note ctx (Printf.sprintf "%d done r%d" me r)
-                 done))
+            (Shard.add_node t ~name:(Printf.sprintf "peer%d" i)
+               (peer ~n:6 ~rounds:4 ~look))
         done;
         Shard.run t;
         Alcotest.(check string)
@@ -339,6 +368,8 @@ let () =
             test_deadlock_message;
           Alcotest.test_case "deadlock report at 50K nodes" `Quick
             test_deadlock_at_scale;
+          Alcotest.test_case "backlog drains in constant stack" `Quick
+            test_backlog_constant_stack;
         ] );
       ( "pool",
         [

@@ -415,7 +415,250 @@ let rng_property =
       done;
       !ok)
 
+(* ---- stackless fibers ---------------------------------------------------- *)
+
+(* One program written twice, as effect fibers and as step programs: a
+   producer feeding a one-slot mailbox on timers, a consumer that
+   blocks on it and spawns a child at the end, a crasher, a fiber
+   woken with an error (twice: the second firing must be ignored) and
+   one that is never woken.  Both must emit the same stream, clocks
+   included, and report the same blocked set and crashes. *)
+let mailbox () =
+  let box = Queue.create () and waiting = ref None in
+  let put v =
+    match !waiting with
+    | Some w ->
+      waiting := None;
+      w (Ok v)
+    | None -> Queue.add v box
+  in
+  let await register = waiting := Some register in
+  (box, put, await)
+
+let fire_twice t w =
+  Engine.schedule_after t (Time.us 3) (fun () ->
+      w (Error Exit);
+      w (Ok ()))
+
+let program_fibers t =
+  let box, put, await = mailbox () in
+  ignore
+    (Engine.spawn t ~name:"producer" (fun () ->
+         for i = 1 to 3 do
+           Engine.sleep t (Time.us (10 * i));
+           Engine.record t (Printf.sprintf "put %d" i);
+           put i
+         done));
+  ignore
+    (Engine.spawn t ~name:"consumer" (fun () ->
+         for _ = 1 to 3 do
+           let v =
+             if Queue.is_empty box then Engine.suspend t ~reason:"mbox" await
+             else Queue.pop box
+           in
+           Engine.record t (Printf.sprintf "got %d" v)
+         done;
+         ignore
+           (Engine.spawn t ~name:"child" (fun () -> Engine.sleep t (Time.us 1)))));
+  ignore
+    (Engine.spawn t ~name:"crasher" (fun () ->
+         Engine.sleep t (Time.us 5);
+         failwith "boom"));
+  ignore
+    (Engine.spawn t ~name:"erred" (fun () ->
+         Engine.suspend t ~reason:"err" (fire_twice t);
+         Engine.record t "erred resumed"));
+  ignore (Engine.spawn t ~name:"stuck" (fun () -> Engine.suspend t ~reason:"forever" ignore))
+
+let program_steps t =
+  let box, put, await = mailbox () in
+  ignore
+    (Engine.spawn_steps t ~name:"producer" (fun () ->
+         let rec go i =
+           if i <= 3 then
+             Engine.sleep_then t (Time.us (10 * i)) (fun () ->
+                 Engine.record t (Printf.sprintf "put %d" i);
+                 put i;
+                 go (i + 1))
+         in
+         go 1));
+  ignore
+    (Engine.spawn_steps t ~name:"consumer" (fun () ->
+         let rec go n =
+           if n < 3 then begin
+             let got v =
+               Engine.record t (Printf.sprintf "got %d" v);
+               go (n + 1)
+             in
+             if Queue.is_empty box then
+               Engine.suspend_then t ~reason:"mbox" await got
+             else got (Queue.pop box)
+           end
+           else
+             ignore
+               (Engine.spawn_steps t ~name:"child" (fun () ->
+                    Engine.sleep_then t (Time.us 1) ignore))
+         in
+         go 0));
+  ignore
+    (Engine.spawn_steps t ~name:"crasher" (fun () ->
+         Engine.sleep_then t (Time.us 5) (fun () -> failwith "boom")));
+  ignore
+    (Engine.spawn_steps t ~name:"erred" (fun () ->
+         Engine.suspend_then t ~reason:"err" (fire_twice t) (fun () ->
+             Engine.record t "erred resumed")));
+  ignore
+    (Engine.spawn_steps t ~name:"stuck" (fun () ->
+         Engine.suspend_then t ~reason:"forever" ignore ignore))
+
+let observe program =
+  let t = Engine.create ~seed:5 ~on_crash:`Record () in
+  program t;
+  let deadlock =
+    match Engine.run ~expect_quiescent:true t with
+    | () -> "none"
+    | exception Engine.Deadlock msg -> msg
+  in
+  let described = Buffer.create 1024 in
+  Engine.iter_events t (fun ev ->
+      Buffer.add_string described (Event.describe ev);
+      Buffer.add_char described '\n');
+  let crashes =
+    List.map (fun (n, e) -> n ^ ": " ^ Printexc.to_string e) (Engine.crashed t)
+  in
+  let raised =
+    let t = Engine.create ~seed:5 () in
+    program t;
+    match Engine.run t with
+    | () -> "none"
+    | exception Engine.Fiber_crash (n, e) -> n ^ ": " ^ Printexc.to_string e
+  in
+  List.iter
+    (fun fi ->
+      Buffer.add_string described
+        (Printf.sprintf "#%d %s %s\n" fi.Engine.fi_id fi.Engine.fi_name
+           fi.Engine.fi_state))
+    (Engine.view t).Engine.v_fibers;
+  ( Buffer.contents described,
+    Engine.events_hash t,
+    Engine.blocked_fibers t,
+    deadlock,
+    crashes,
+    raised )
+
+let stackless_tests =
+  [
+    Alcotest.test_case "step program = fiber program" `Quick (fun () ->
+        let d1, h1, b1, dl1, c1, r1 = observe program_fibers in
+        let d2, h2, b2, dl2, c2, r2 = observe program_steps in
+        checkb "the program ran" true (String.length d1 > 0);
+        check Alcotest.string "Event.describe (clocks included), fiber states" d1 d2;
+        check Alcotest.int64 "events hash" h1 h2;
+        check Alcotest.(list string) "blocked fibers" [ "stuck (forever)" ] b1;
+        check Alcotest.(list string) "same blocked fibers" b1 b2;
+        check Alcotest.string "deadlock text" "stuck (forever)" dl1;
+        check Alcotest.string "same deadlock text" dl1 dl2;
+        check Alcotest.(list string) "crashes"
+          [ "erred: Stdlib.Exit"; "crasher: Failure(\"boom\")" ] c1;
+        check Alcotest.(list string) "same crash report" c1 c2;
+        check Alcotest.string "same raised crash" r1 r2);
+    Alcotest.test_case "steps outside a fiber are rejected" `Quick (fun () ->
+        let t = Engine.create () in
+        Alcotest.check_raises "sleep_then"
+          (Invalid_argument "Engine.sleep_then: not inside a fiber") (fun () ->
+            Engine.sleep_then t (Time.us 1) ignore));
+    Alcotest.test_case "release finishes every parked fiber" `Quick (fun () ->
+        let finalized = ref 0 and delivered = ref 0 and caught = ref 0 in
+        for _ = 1 to 1_000 do
+          let t = Engine.create ~on_crash:`Record ~legacy_trace:false () in
+          for i = 1 to 10 do
+            ignore
+              (Engine.spawn t (fun () ->
+                   Fun.protect
+                     ~finally:(fun () -> incr finalized)
+                     (fun () ->
+                       if i = 10 then
+                         (* Cleanup that parks again is discontinued
+                            again on the next pass. *)
+                         try Engine.suspend t ~reason:"never" ignore
+                         with _ ->
+                           incr caught;
+                           Engine.suspend t ~reason:"again" ignore
+                       else Engine.suspend t ~reason:"never" ignore)))
+          done;
+          (* A sleep the run ends before: its timer task is still
+             queued when the engine is released. *)
+          ignore
+            (Engine.spawn t (fun () ->
+                 Fun.protect
+                   ~finally:(fun () -> incr finalized)
+                   (fun () -> Engine.sleep t (Time.sec 1))));
+          Engine.add_consumer t (fun _ -> incr delivered);
+          Engine.run_until t (Time.ms 1);
+          checki "all parked" 11 (List.length (Engine.blocked_fibers t));
+          checki "the consumer saw the run" 11 !delivered;
+          delivered := 0;
+          Engine.release t;
+          checki "no consumer call during release" 0 !delivered;
+          checki "none parked" 0 (List.length (Engine.blocked_fibers t));
+          checkb "no crash recorded" true (Engine.crashed t = []);
+          Engine.iter_events t (fun ev ->
+              match ev.Event.ev_kind with
+              | Event.Crash _ -> Alcotest.fail "release emitted a Crash"
+              | _ -> ())
+        done;
+        checki "every finally ran" 11_000 !finalized;
+        checki "every re-park was released" 1_000 !caught);
+  ]
+
 (* ---- Rng ------------------------------------------------------------------ *)
+
+(* The parent stream pinned bit for bit: the generator's state moved
+   from a boxed int64 field into unboxed bytes, and every draw must come
+   out as before. *)
+let rng_golden_tests =
+  [
+    Alcotest.test_case "draws pinned" `Quick (fun () ->
+        let r = Rng.create 7 in
+        check Alcotest.(list int) "int"
+          [ 0; 630; 71; 1283; 528; 3405 ]
+          (List.init 6 (fun i -> Rng.int r (1 + (i * 1000))));
+        check Alcotest.(list int) "int near max_int"
+          [ 1837650613971445849; 2788674721754994468; 3741924115167934521 ]
+          (List.init 3 (fun _ -> Rng.int r max_int));
+        check Alcotest.(list string) "float"
+          [ "0x1.6650ef5667a58p-4"; "0x1.d327c95c6cbp-1";
+            "0x1.5c87d83edafc8p-3"; "0x1.fcf2f9f0ec9f7p-1" ]
+          (List.init 4 (fun _ -> Printf.sprintf "%h" (Rng.float r)));
+        check Alcotest.(list bool) "bool"
+          [ false; true; false; false; false; true; true; false ]
+          (List.init 8 (fun _ -> Rng.bool r 0.5));
+        let d = Rng.derive r 3 in
+        check Alcotest.(list int64) "derive"
+          [ 388616433601973310L; 7261577189598731091L; 160650668372339889L ]
+          (List.init 3 (fun _ -> Rng.next_int64 d));
+        let c = Rng.split r in
+        check Alcotest.(list int64) "split"
+          [ -3391111664787742676L; 3823998114459090705L; 4523347727612846070L ]
+          (List.init 3 (fun _ -> Rng.next_int64 c));
+        check Alcotest.int64 "parent after split" (-496891834054288698L)
+          (Rng.next_int64 r);
+        let a = Array.init 10 Fun.id in
+        Rng.shuffle r a;
+        check Alcotest.(array int) "shuffle" [| 0; 9; 6; 5; 4; 8; 1; 7; 3; 2 |] a);
+    Alcotest.test_case "int allocates nothing" `Quick (fun () ->
+        let r = Rng.create 3 in
+        ignore (Rng.int r 100);
+        let w0 = Gc.minor_words () in
+        let acc = ref 0 in
+        for _ = 1 to 100_000 do
+          acc := !acc + Rng.int r 1000
+        done;
+        let words = Gc.minor_words () -. w0 in
+        checkb "drew" true (!acc > 0);
+        if words > 0. then
+          Alcotest.failf "Rng.int allocated %.0f words over 100K draws" words);
+  ]
 
 let rng_tests =
   [
@@ -1261,9 +1504,10 @@ let () =
             QCheck_alcotest.to_alcotest heap_property;
             QCheck_alcotest.to_alcotest heap_model_property;
           ] );
-      ("rng", rng_tests @ [ QCheck_alcotest.to_alcotest rng_property ]);
+      ("rng", rng_tests @ rng_golden_tests @ [ QCheck_alcotest.to_alcotest rng_property ]);
       ("trace", trace_tests);
       ("engine", engine_tests);
+      ("stackless", stackless_tests);
       ("event-log", event_log_tests);
       ("sync", sync_tests);
       ("extra", extra_tests);

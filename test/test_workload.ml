@@ -279,6 +279,47 @@ let test_open_loop_deterministic () =
     Alcotest.(check int) "count" 96 a.H.h_count
   | _ -> Alcotest.fail "open-loop run produced no latency summary"
 
+(* Goldens pinned from the workload layer as it stood when nodes still
+   ran as effect fibers, one per node: the stackless step programs must
+   emit the same events in the same order, so each run's events hash
+   and latency summary (count, mean, min, max, p50, p99, p999 in ns)
+   are unchanged.  The [~s3] row also pins shard-count invariance. *)
+let goldens =
+  [
+    ("wl-farm/charlotte/1/fifo~n64", 0x390eb081f83482a0L, (128, 52813808, 52200000, 53472500, 52953087, 53472500, 53472500));
+    ("wl-farm/soda/1/fifo~n64", 0xea5bb98969bdab73L, (128, 13878165, 10048000, 17988400, 14024703, 17825791, 17988400));
+    ("wl-farm/chrysalis/1/fifo~n64", 0xe6644981dea70098L, (128, 259037, 124000, 403950, 262143, 397311, 403950));
+    ("wl-farm-open/charlotte/1/fifo~n64", 0x14161745c8b14365L, (64, 52817109, 52200000, 53435000, 52953087, 53435000, 53435000));
+    ("wl-farm-open/soda/1/fifo~n64", 0xed396ac8319859e7L, (64, 13898762, 10048000, 17754400, 14024703, 17754400, 17754400));
+    ("wl-farm-open/chrysalis/1/fifo~n64", 0xee209cd2b5c3c612L, (64, 259764, 124000, 395700, 262143, 393215, 395700));
+    ("wl-ring/charlotte/1/fifo~n64", 0x123c4e87a7c16723L, (128, 106516875, 104520000, 108337500, 106954751, 108337500, 108337500));
+    ("wl-ring/soda/1/fifo~n64", 0x1c16253d679c3c5aL, (128, 33305300, 20844800, 44666000, 34603007, 44564479, 44666000));
+    ("wl-ring/chrysalis/1/fifo~n64", 0x1846a5f80da0bed3L, (128, 713712, 274400, 1114250, 745471, 1097727, 1114250));
+    ("wl-tree/charlotte/1/fifo~n64", 0xea18fe473eeadbb4L, (128, 354695454, 104530000, 473411850, 423624703, 473411850, 473411850));
+    ("wl-tree/soda/1/fifo~n64", 0xcc2c83360e8e0c94L, (128, 91699695, 20096000, 130352386, 110100479, 126877695, 130352386));
+    ("wl-tree/chrysalis/1/fifo~n64", 0xdf860591ec811c2eL, (128, 681887, 248000, 1463111, 679935, 1376255, 1463111));
+    ("wl-tree/soda/1/fifo~n64~s3", 0xcc2c83360e8e0c94L, (128, 91699695, 20096000, 130352386, 110100479, 126877695, 130352386));
+  ]
+
+let test_goldens () =
+  List.iter
+    (fun (str, hash, (count, mean, mn, mx, p50, p99, p999)) ->
+      let spec = Result.get_ok (Spec.of_string str) in
+      let a = artifact spec in
+      Alcotest.(check int64) (str ^ " events hash") hash a.Run.Artifact.events_hash;
+      match a.Run.Artifact.latency with
+      | None -> Alcotest.failf "%s: no latency summary" str
+      | Some s ->
+        Alcotest.(check (list int))
+          (str ^ " latency summary")
+          [ count; mean; mn; mx; p50; p99; p999 ]
+          [
+            s.H.h_count; Time.to_ns s.H.h_mean; Time.to_ns s.H.h_min;
+            Time.to_ns s.H.h_max; Time.to_ns s.H.h_p50; Time.to_ns s.H.h_p99;
+            Time.to_ns s.H.h_p999;
+          ])
+    goldens
+
 let () =
   Alcotest.run "workload"
     [
@@ -305,6 +346,8 @@ let () =
           Alcotest.test_case "-j1/-j4 identical" `Quick test_jobs_invariance;
           Alcotest.test_case "open loop deterministic" `Quick
             test_open_loop_deterministic;
+          Alcotest.test_case "goldens: events hash and latency" `Quick
+            test_goldens;
         ] );
       ( "outcomes",
         [
